@@ -22,12 +22,10 @@ from .model import (
     ClosedForms,
     DensityModel,
     VariationClass,
-    eval_log_density,
     make_exp_exponential,
     make_half_gaussian,
     make_weibull,
     model_from_spec,
-    psi,
 )
 from .tilt import (
     TiltParams,
@@ -38,7 +36,6 @@ from .tilt import (
     solve_tilt,
     tilt_moments,
     tilted_density,
-    variance_function,
 )
 from .edgeworth import (
     EdgeworthSpec,
@@ -50,7 +47,6 @@ from .gibbs import (
     FastGrowthParams,
     Regime,
     classify_regime,
-    concentration_summary,
     f_tilted_approx,
     fast_growth_approx,
     fast_growth_params,

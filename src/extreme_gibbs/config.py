@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 
 __all__ = ["ARule", "AGrid", "ExperimentConfig", "ApproxReport", "fmt17"]
@@ -19,8 +20,6 @@ __all__ = ["ARule", "AGrid", "ExperimentConfig", "ApproxReport", "fmt17"]
 
 def fmt17(x) -> str:
     """Serialize a float with 17 significant digits (lossless round trip)."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 
@@ -208,7 +207,7 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         lines = [
-            "# extreme-gibbs v0.1.0 experiment config",
+            f"# extreme-gibbs v{__version__} experiment config",
             f"model = {self.model}",
             "n = " + ",".join(str(v) for v in self.n),
             f"a = {self.a.canonical()}",

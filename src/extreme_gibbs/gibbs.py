@@ -28,13 +28,7 @@ import numpy as np
 from . import quad
 from .errors import DomainError, NumericError, RegimeWarning
 from .model import DensityModel
-from .tilt import (
-    TiltParams,
-    log_tilted_density,
-    solve_tilt,
-    solve_tilt_cached,
-    tilt_moments,
-)
+from .tilt import TiltParams, log_tilted_density, solve_tilt, solve_tilt_cached
 
 __all__ = [
     "Regime",
@@ -46,10 +40,7 @@ __all__ = [
     "joint_moderate_approx",
     "joint_fast_approx",
     "identity",
-    "FTiltParams",
-    "solve_f_tilt",
     "f_tilted_approx",
-    "concentration_summary",
     "z_statistics",
     "variance_power_fit",
 ]
@@ -137,19 +128,34 @@ def _log_normal_pdf(mu: float, var: float, y) -> np.ndarray:
     return -0.5 * (_LOG_2PI + math.log(var)) - (arr - mu) ** 2 / (2.0 * var)
 
 
-def _normalize_modulated(model: DensityModel, mu: float, var: float, center_hint: float, scale_hint: float) -> float:
-    """log of int p(y) N(mu, var)(y) dy by peak-centered quadrature."""
+def _log_modulated(model: DensityModel, mu: float, var: float, y, f=None) -> np.ndarray:
+    """log of p(y) N(mu, var)(f(y)); f is the identity when None."""
+    arr = np.asarray(y, dtype=float)
+    stat = arr if f is None else np.asarray(f(arr), dtype=float)
+    return model._log_density_clipped(arr) + _log_normal_pdf(mu, var, stat)
+
+
+def _modulated_params(
+    model: DensityModel, tp: TiltParams, rows: int, a_n: float, f=None
+) -> FastGrowthParams:
+    """alpha, beta = rows s^2 and the quadrature normalizer of the modulated
+    density ``C p(y) N(alpha beta + a_n, beta)(f(y))`` tilted by ``tp``."""
+    alpha = tp.t + tp.mu3 / (2.0 * rows * tp.s2)
+    beta = rows * tp.s2
+    mu = alpha * beta + a_n
 
     def log_f(y):
-        return model._log_density_clipped(y) + _log_normal_pdf(mu, var, y)
+        return _log_modulated(model, mu, beta, y, f)
 
-    xhat, sigma = quad.find_peak(
-        log_f, lo=model.support_lo, x0=center_hint, scale_hint=scale_hint
-    )
+    # a_n and s are on the scale of f(X); they locate the peak in y only for the identity
+    x0, hint = (float(a_n), tp.s) if f is None else (None, 1.0)
+    xhat, sigma = quad.find_peak(log_f, lo=model.support_lo, x0=x0, scale_hint=hint)
     res = quad.log_integral(log_f, center=xhat, scale=sigma, lo=model.support_lo)
     if not np.isfinite(res.log_value):
         raise NumericError("normalization integral of the modulated density failed")
-    return res.log_value
+    return FastGrowthParams(
+        alpha=alpha, beta=beta, logC=-res.log_value, n=rows + 1, a_n=float(a_n), tp=tp
+    )
 
 
 def fast_growth_params(
@@ -160,12 +166,7 @@ def fast_growth_params(
         raise DomainError(f"need n >= 2, got {n!r}")
     if tp is None:
         tp = solve_tilt(model, float(a_n))
-    alpha = tp.t + tp.mu3 / (2.0 * (n - 1) * tp.s2)
-    beta = (n - 1) * tp.s2
-    log_norm = _normalize_modulated(
-        model, alpha * beta + a_n, beta, center_hint=float(a_n), scale_hint=tp.s
-    )
-    return FastGrowthParams(alpha=alpha, beta=beta, logC=-log_norm, n=int(n), a_n=float(a_n), tp=tp)
+    return _modulated_params(model, tp, int(n) - 1, a_n)
 
 
 def log_fast_growth(params: FastGrowthParams, model: DensityModel, y) -> np.ndarray:
@@ -224,13 +225,7 @@ def joint_moderate_approx(
 @lru_cache(maxsize=4096)
 def _fast_factor(model: DensityModel, rows: int, level: float, a_n: float) -> FastGrowthParams:
     """One factor of the fast-growth joint product, memoized on its level."""
-    tp = solve_tilt_cached(model, level)
-    alpha = tp.t + tp.mu3 / (2.0 * rows * tp.s2)
-    beta = rows * tp.s2
-    log_norm = _normalize_modulated(
-        model, alpha * beta + a_n, beta, center_hint=a_n, scale_hint=tp.s
-    )
-    return FastGrowthParams(alpha=alpha, beta=beta, logC=-log_norm, n=rows + 1, a_n=a_n, tp=tp)
+    return _modulated_params(model, solve_tilt_cached(model, level), rows, a_n)
 
 
 def joint_fast_approx(model: DensityModel, n: int, a_n: float, ys) -> float:
@@ -265,105 +260,6 @@ def identity(x):
     return x
 
 
-@dataclass(frozen=True)
-class FTiltParams:
-    """Solved tilt of the pushforward statistic f(X)."""
-
-    lam: float
-    a: float
-    s2: float
-    mu3: float
-    log_phi_f: float
-
-
-def _f_tilt_quad(model: DensityModel, f, lam: float, x0: float | None = None) -> quad.LogQuad:
-    def log_f(x):
-        arr = np.asarray(x, dtype=float)
-        return lam * np.asarray(f(arr), dtype=float) + model._log_density_clipped(arr)
-
-    xhat, sigma = quad.find_peak(log_f, lo=model.support_lo, x0=x0, scale_hint=1.0)
-    return quad.log_integral(log_f, center=xhat, scale=sigma, lo=model.support_lo)
-
-
-def _f_tilt_moments(model: DensityModel, f, lam: float, x0: float | None = None) -> FTiltParams:
-    res = _f_tilt_quad(model, f, lam, x0)
-    if not np.isfinite(res.log_value):
-        raise NumericError(f"pushforward mgf failed at lambda={lam!r}")
-    p = np.exp(res.log_terms - res.log_value)
-    fx = np.asarray(f(res.nodes), dtype=float)
-    m = float(np.sum(p * fx))
-    d = fx - m
-    s2 = float(np.sum(p * d * d))
-    mu3 = float(np.sum(p * d * d * d))
-    if not (s2 > 0):
-        raise NumericError("pushforward tilted variance not positive")
-    return FTiltParams(lam=lam, a=m, s2=s2, mu3=mu3, log_phi_f=res.log_value)
-
-
-def solve_f_tilt(model: DensityModel, f, a: float, rtol: float = 1e-11, max_iter: int = 200) -> FTiltParams:
-    """Solve m_f(lambda) = a for conditioning on the mean of f(X)."""
-    a = float(a)
-    ft = _f_tilt_moments(model, f, 0.0)
-    lo, lo_m = 0.0, ft.a
-    hi, hi_m = 0.0, ft.a
-    step = 1.0
-    # expand toward the side containing a; a divergent Phi_f caps the bracket
-    # and a stagnating mean signals an unattainable target
-    for _ in range(120):
-        if lo_m <= a <= hi_m:
-            break
-        if a > hi_m:
-            lo, lo_m = hi, hi_m
-            cand = hi + step
-            try:
-                ft = _f_tilt_moments(model, f, cand)
-                progress = abs(ft.a - hi_m)
-                hi, hi_m = cand, ft.a
-                step *= 2.0
-            except NumericError:
-                step *= 0.5
-                progress = np.inf
-                if step < 1e-12:
-                    raise DomainError(f"target {a!r} outside the image of the pushforward mean")
-        else:
-            hi, hi_m = lo, lo_m
-            cand = lo - step
-            try:
-                ft = _f_tilt_moments(model, f, cand)
-                progress = abs(ft.a - lo_m)
-                lo, lo_m = cand, ft.a
-                step *= 2.0
-            except NumericError:
-                step *= 0.5
-                progress = np.inf
-                if step < 1e-12:
-                    raise DomainError(f"target {a!r} outside the image of the pushforward mean")
-        if progress < 1e-12 * max(abs(a), 1.0):
-            raise DomainError(f"target {a!r} outside the image of the pushforward mean")
-    else:
-        raise DomainError(f"could not bracket the pushforward mean {a!r}")
-
-    lam = 0.5 * (lo + hi)
-    ft = _f_tilt_moments(model, f, lam)
-    for _ in range(max_iter):
-        err = ft.a - a
-        if abs(err) <= rtol * max(abs(a), 1.0):
-            return ft
-        if err > 0:
-            hi = min(hi, ft.lam)
-        else:
-            lo = max(lo, ft.lam)
-        lam_new = ft.lam - err / ft.s2
-        if not (lo < lam_new < hi) or not np.isfinite(lam_new):
-            lam_new = 0.5 * (lo + hi)
-        if lam_new == ft.lam:
-            break
-        ft = _f_tilt_moments(model, f, lam_new)
-    if abs(ft.a - a) <= 1e-8 * max(abs(a), 1.0):
-        return ft
-    raise NumericError(f"pushforward tilt solver stalled at |m_f - a| = {abs(ft.a - a):.3e}")
-
-
 def f_tilted_approx(
     model: DensityModel,
     f,
@@ -375,54 +271,35 @@ def f_tilted_approx(
     """Conditional approximation of X_1 given sum f(X_i) = n a_n.
 
     ``variant="tilted"`` returns the f-tilted density
-    ``e^(lambda f(x)) p(x) / Phi_f(lambda)``.  ``variant="gaussian_modulated"``
-    applies the fast-growth Gaussian modulation in f-space and renormalizes
-    over x; the pushforward density cancels in that product so no Jacobian
-    appears.  ``f=None`` or the exported ``identity`` delegates to the plain
-    tilted machinery so the reduction is exact, not merely approximate.
+    ``e^(t f(x)) p(x) / Phi_f(t)``, with t from ``solve_tilt(..., f=f)``.
+    ``variant="gaussian_modulated"`` applies the fast-growth Gaussian
+    modulation in f-space and renormalizes over x; the pushforward density
+    cancels in that product so no Jacobian appears.  ``f=None`` or the
+    exported ``identity`` delegates to the plain tilted machinery so the
+    reduction is exact, not merely approximate.
     """
+    if variant not in ("tilted", "gaussian_modulated"):
+        raise DomainError(f"unknown variant {variant!r}")
     if f is None or f is identity:
         if variant == "tilted":
             return tilted_approx(model, n, a_n, x)
         params = fast_growth_params(model, n, a_n)
         return fast_growth_approx(params, model, x)
 
-    ft = solve_f_tilt(model, f, float(a_n))
+    tp = solve_tilt(model, float(a_n), f=f)
     arr = np.asarray(x, dtype=float)
     if variant == "tilted":
-        logs = (
-            ft.lam * np.asarray(f(arr), dtype=float)
-            + model._log_density_clipped(arr)
-            - ft.log_phi_f
-        )
-        out = np.exp(logs)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-    if variant != "gaussian_modulated":
-        raise DomainError(f"unknown variant {variant!r}")
-
-    alpha = ft.lam + ft.mu3 / (2.0 * (n - 1) * ft.s2)
-    beta = (n - 1) * ft.s2
-    mu = alpha * beta + a_n
-
-    def log_unnorm(xv):
-        xa = np.asarray(xv, dtype=float)
-        return model._log_density_clipped(xa) + _log_normal_pdf(mu, beta, np.asarray(f(xa), dtype=float))
-
-    xhat, sigma = quad.find_peak(log_unnorm, lo=model.support_lo, scale_hint=1.0)
-    res = quad.log_integral(log_unnorm, center=xhat, scale=sigma, lo=model.support_lo)
-    out = np.exp(log_unnorm(arr) - res.log_value)
+        logs = tp.t * np.asarray(f(arr), dtype=float) + model._log_density_clipped(arr) - tp.log_phi
+    else:
+        fp = _modulated_params(model, tp, n - 1, a_n, f)
+        logs = _log_modulated(model, fp.alpha * fp.beta + fp.a_n, fp.beta, arr, f) + fp.logC
+    out = np.exp(logs)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
-
-
-def concentration_summary(model: DensityModel, n: int, a_n: float) -> tuple[float, float]:
-    """Predicted location and scale of X_1 under the point condition."""
-    tp = solve_tilt(model, float(a_n))
-    return float(a_n), tp.s
 
 
 def z_statistics(model: DensityModel, n: int, a_n: float, ys) -> np.ndarray:

@@ -41,8 +41,6 @@ __all__ = [
     "make_weibull",
     "make_exp_exponential",
     "make_half_gaussian",
-    "eval_log_density",
-    "psi",
     "model_from_spec",
     "model_diagnostics",
     "variation_report",
@@ -89,7 +87,6 @@ class ClosedForms:
     mean: Callable | None = None
     variance: Callable | None = None
     mu3: Callable | None = None
-    psi: Callable | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,31 +148,7 @@ class DensityModel:
             )
         if self.psi_closed is not None:
             return float(self.psi_closed(t))
-        return self._psi_root(float(t))
-
-    def _psi_root(self, t: float) -> float:
-        lo = self.support_lo
-        seed = max(self.h_zero, lo) or 1.0
-        x_hi = max(2.0 * seed, seed + 1.0)
-        for _ in range(600):
-            if self.h(x_hi) >= t:
-                break
-            x_hi *= 2.0
-        else:
-            raise NumericError(f"could not bracket h(x)={t} from above")
-        x_lo = max(0.5 * seed, lo + 1e-300)
-        for _ in range(2000):
-            if self.h(x_lo) <= t:
-                break
-            nxt = 0.5 * (x_lo + lo) if np.isfinite(lo) else 0.5 * x_lo
-            if nxt <= lo or nxt == x_lo:
-                x_lo = lo + 1e-300
-                break
-            x_lo = nxt
-        if not (self.h(x_lo) <= t <= self.h(x_hi)):
-            raise NumericError(f"h(x)={t} not bracketable in ({x_lo}, {x_hi})")
-        root = brentq(lambda x: self.h(x) - t, x_lo, x_hi, rtol=1e-14, maxiter=300)
-        return float(root)
+        return _invert_slope(self.h, float(t), self.support_lo, self.h_zero)
 
     def psi_d1(self, t: float) -> float:
         """Derivative of the inverse of h: 1 / h'(psi(t))."""
@@ -308,9 +281,7 @@ def make_half_gaussian() -> DensityModel:
         r = _mills(t)
         return r * (t * t + 3.0 * t * r + 2.0 * r * r - 1.0)
 
-    closed = ClosedForms(
-        log_mgf=log_mgf, mean=mean, variance=variance, mu3=mu3, psi=lambda t: t
-    )
+    closed = ClosedForms(log_mgf=log_mgf, mean=mean, variance=variance, mu3=mu3)
     variation = VariationClass(
         kind="regular", beta=1.0, epsilon=lambda x: np.zeros_like(np.asarray(x, dtype=float)), karamata_c=1.0
     )
@@ -337,19 +308,29 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-
-def eval_log_density(model: DensityModel, x) -> float:
-    """Log density -(g(x) - q(x)) + log_norm; DomainError below the support."""
-    return model.log_density(x)
-
-
-def psi(model: DensityModel, t: float) -> float:
-    """Inverse of the slope function h at level t."""
-    return model.psi(t)
+def _invert_slope(h: Callable, t: float, lo: float, h_zero: float) -> float:
+    """Root of h(x) = t on the monotone branch of h beyond ``h_zero``."""
+    seed = max(h_zero, lo) or 1.0
+    x_hi = max(2.0 * seed, seed + 1.0)
+    for _ in range(600):
+        if h(x_hi) >= t:
+            break
+        x_hi *= 2.0
+    else:
+        raise NumericError(f"could not bracket h(x)={t} from above")
+    x_lo = max(0.5 * seed, lo + 1e-300)
+    for _ in range(2000):
+        if h(x_lo) <= t:
+            break
+        nxt = 0.5 * (x_lo + lo) if np.isfinite(lo) else 0.5 * x_lo
+        if nxt <= lo or nxt == x_lo:
+            x_lo = lo + 1e-300
+            break
+        x_lo = nxt
+    if not (h(x_lo) <= t <= h(x_hi)):
+        raise NumericError(f"h(x)={t} not bracketable in ({x_lo}, {x_hi})")
+    root = brentq(lambda x: h(x) - t, x_lo, x_hi, rtol=1e-14, maxiter=300)
+    return float(root)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +472,8 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
         val = float(np.asarray(h(near)))
         h_min = val if np.isfinite(val) else -np.inf
 
-    model_stub = {"h": h, "h_prime": h_prime}
-
     def psi_fn(t):
-        # local inversion used only by the rapid-variation epsilon default
-        seed = max(h_zero, support_lo, 1e-6)
-        x_hi = max(2.0 * seed, seed + 1.0)
-        while float(np.asarray(model_stub["h"](x_hi))) < t:
-            x_hi *= 2.0
-        return brentq(lambda x: float(np.asarray(model_stub["h"](x))) - t, support_lo + 1e-12, x_hi)
+        return _invert_slope(h, float(t), support_lo, h_zero)
 
     if "epsilon" in fields:
         var_kind = fields.get("variation", "regular:1").strip().lower()

@@ -15,6 +15,11 @@ here is computed by saddle-centered quadrature in log space:
   Newton iteration started at ``t0 = h(a)`` (the asymptotically exact
   inverse) and a geometric bracket fallback.
 
+Conditioning on a general mean statistic ``sum f(X_i) = n a`` is the same
+tilt applied to f(X): ``tilt_moments`` and ``solve_tilt`` take the statistic
+as ``f`` (None is the identity), and the moments are those of f(X) under
+``e^(t f(x)) p(x) / Phi_f(t)``.
+
 All intermediate arithmetic stays in log space; densities are exponentiated
 only at the API boundary.
 """
@@ -43,7 +48,6 @@ __all__ = [
     "asymptotic_moments",
     "gaussian_moment",
     "skewness_ratio",
-    "variance_function",
 ]
 
 
@@ -53,7 +57,7 @@ class TiltParams:
 
     ``psi_val``, ``psi_d1`` and ``psi_d2`` are the asymptotic equivalents of
     the mean, variance and third moment (NaN when the inverse slope is not
-    defined at this t).
+    defined at this t, and for a statistic f other than the identity).
     """
 
     t: float
@@ -69,13 +73,24 @@ class TiltParams:
     def s(self) -> float:
         return math.sqrt(self.s2)
 
+    @property
+    def skew(self) -> float:
+        """mu3 / s^3; NumericError when s^3 underflows to zero."""
+        s3 = self.s2**1.5
+        if s3 == 0.0:
+            raise NumericError(f"tilted skewness undefined: s^3 underflows at s2 = {self.s2:.3e}")
+        return self.mu3 / s3
 
-def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12) -> quad.LogQuad:
+
+def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12, f=None) -> quad.LogQuad:
     def log_f(x):
-        return t * np.asarray(x, dtype=float) + model._log_density_clipped(x)
+        arr = np.asarray(x, dtype=float)
+        stat = arr if f is None else np.asarray(f(arr), dtype=float)
+        return t * stat + model._log_density_clipped(arr)
 
+    # the inverse slope locates the peak of e^(t x) p(x) only for the identity
     center = scale = None
-    if t >= model.h_min:
+    if f is None and t >= model.h_min:
         try:
             xhat = model.psi(t)
             hp = float(model.h_prime(xhat))
@@ -105,27 +120,31 @@ def _psi_triplet(model: DensityModel, t: float) -> tuple[float, float, float]:
     return math.nan, math.nan, math.nan
 
 
-def tilt_moments(model: DensityModel, t: float) -> TiltParams:
+def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     """Mean, variance and third centered moment of the tilted density.
 
     Computed as weighted moments of the quadrature nodes in peak-scaled
     coordinates, which avoids the catastrophic cancellation of forming
-    central moments around a large mean.
+    central moments around a large mean.  With a statistic ``f`` they are
+    the moments of f(X) under the f-tilt, taken from f at the same nodes.
     """
     t = float(t)
-    res = _mgf_quad(model, t)
+    res = _mgf_quad(model, t, f=f)
     p = np.exp(res.log_terms - res.log_value)
-    u = res.offsets
+    if f is None:
+        u, shift, unit = res.offsets, res.center, res.scale
+    else:
+        u, shift, unit = np.asarray(f(res.nodes), dtype=float), 0.0, 1.0
     u_mean = float(np.sum(p * u))
     du = u - u_mean
     var_u = float(np.sum(p * du * du))
     mu3_u = float(np.sum(p * du * du * du))
-    mean = res.center + res.scale * u_mean
-    s2 = res.scale**2 * var_u
-    mu3 = res.scale**3 * mu3_u
+    mean = shift + unit * u_mean
+    s2 = unit**2 * var_u
+    mu3 = unit**3 * mu3_u
     if not (s2 > 0):
         raise NumericError(f"tilted variance not positive at t={t!r}")
-    psi_val, psi_d1, psi_d2 = _psi_triplet(model, t)
+    psi_val, psi_d1, psi_d2 = _psi_triplet(model, t) if f is None else (math.nan,) * 3
     return TiltParams(
         t=t,
         a=mean,
@@ -138,11 +157,36 @@ def tilt_moments(model: DensityModel, t: float) -> TiltParams:
     )
 
 
+def _expand(model: DensityModel, a: float, edge: float, m_edge: float, step: float, sign: float, f):
+    """One bracket expansion from ``edge``: the new edge, its mean, the next step.
+
+    Phi_f can be finite on a half-line only (x^2 under Weibull k=2 diverges
+    at t >= 1), so for a statistic f a failed quadrature halves the step
+    instead of ending the solve.  A step that collapses, or a mean that stops
+    moving, puts the target outside the image of the mean of f.
+    """
+    while True:
+        cand = edge + sign * step
+        try:
+            m = tilt_moments(model, cand, f).a
+        except NumericError:
+            if f is None:
+                raise
+            step *= 0.5
+            if step < 1e-12:
+                raise DomainError(f"target {a!r} outside the image of the mean of f") from None
+            continue
+        if f is not None and abs(m - m_edge) < 1e-12 * max(abs(a), 1.0):
+            raise DomainError(f"target {a!r} outside the image of the mean of f")
+        return cand, m, 2.0 * step
+
+
 def solve_tilt(
     model: DensityModel,
     a: float,
     rtol: float = 1e-12,
     max_iter: int = 120,
+    f=None,
 ) -> TiltParams:
     """Solve m(t) = a for the tilt parameter t.
 
@@ -151,20 +195,30 @@ def solve_tilt(
     ``t0 = h(a)`` when needed.  The iteration accepts a solution when
     ``|m(t) - a| <= rtol * a``, with a relaxed floor when quadrature noise
     prevents further progress.
+
+    With a statistic ``f`` the solve matches the mean of f(X) instead.  The
+    start is t = 0, Newton begins at the middle of the bracket, and the
+    tolerance scales with ``max(|a|, 1)``, because an f-target can be zero or
+    negative.
     """
     a = float(a)
-    if not np.isfinite(a) or a <= model.support_lo:
+    if not np.isfinite(a) or (f is None and a <= model.support_lo):
         raise DomainError(f"target mean {a!r} outside the image of m for {model.name!r}")
 
-    try:
-        t = float(model.h(a))
-    except (ValueError, FloatingPointError):
+    if f is None:
+        try:
+            t = float(model.h(a))
+        except (ValueError, FloatingPointError):
+            t = 0.0
+        if not np.isfinite(t):
+            raise DomainError(f"initial tilt guess h({a!r}) is not finite")
+        scale = abs(a)
+    else:
         t = 0.0
-    if not np.isfinite(t):
-        raise DomainError(f"initial tilt guess h({a!r}) is not finite")
+        scale = max(abs(a), 1.0)
 
-    tp = tilt_moments(model, t)
-    tol = rtol * abs(a)
+    tp = tilt_moments(model, t, f)
+    tol = rtol * scale
 
     # establish a bracket [t_lo, t_hi] with m(t_lo) <= a <= m(t_hi)
     t_lo = t_hi = t
@@ -173,27 +227,21 @@ def solve_tilt(
     expansions = 0
     while m_hi < a:
         t_lo, m_lo = t_hi, m_hi
-        t_hi += step
-        step *= 2.0
-        tp_hi = tilt_moments(model, t_hi)
-        m_hi = tp_hi.a
+        t_hi, m_hi, step = _expand(model, a, t_hi, m_hi, step, 1.0, f)
         expansions += 1
         if expansions > 80:
             raise DomainError(f"could not bracket m(t) = {a!r} from above")
     step = max(abs(t), 1.0)
     while m_lo > a:
         t_hi, m_hi = t_lo, m_lo
-        t_lo -= step
-        step *= 2.0
-        tp_lo = tilt_moments(model, t_lo)
-        m_lo = tp_lo.a
+        t_lo, m_lo, step = _expand(model, a, t_lo, m_lo, step, -1.0, f)
         expansions += 1
         if expansions > 160:
             raise DomainError(f"could not bracket m(t) = {a!r} from below")
 
-    if not (t_lo <= t <= t_hi):
+    if f is not None or not (t_lo <= t <= t_hi):
         t = 0.5 * (t_lo + t_hi)
-        tp = tilt_moments(model, t)
+        tp = tilt_moments(model, t, f)
 
     best = tp
     best_err = abs(tp.a - a)
@@ -217,9 +265,9 @@ def solve_tilt(
             t_new = 0.5 * (t_lo + t_hi)
         if t_new == tp.t:
             break
-        tp = tilt_moments(model, t_new)
+        tp = tilt_moments(model, t_new, f)
 
-    if best_err <= max(tol, 1e-9 * abs(a)):
+    if best_err <= max(tol, 1e-9 * scale):
         return best
     raise NumericError(
         f"tilt solver stalled at |m - a| = {best_err:.3e} for a = {a!r} "
@@ -291,10 +339,4 @@ def asymptotic_moments(model: DensityModel, t: float, j: int) -> float:
 
 def skewness_ratio(model: DensityModel, t: float) -> float:
     """mu3(t) / s^3(t) of the tilted density; tends to zero for large t."""
-    tp = tilt_moments(model, t)
-    return tp.mu3 / tp.s2**1.5
-
-
-def variance_function(model: DensityModel, x: float) -> float:
-    """Tilted variance expressed as a function of the tilted mean."""
-    return solve_tilt(model, x).s2
+    return tilt_moments(model, t).skew

@@ -23,7 +23,6 @@ from extreme_gibbs.gibbs import (
     fast_growth_approx,
     fast_growth_params,
     identity,
-    solve_f_tilt,
     tilted_approx,
     variance_power_fit,
 )
@@ -262,8 +261,8 @@ def test_criterion_13_general_mean_statistic(weibull2):
 
         a_n = 3.0
         square = lambda x: x * x
-        ft = solve_f_tilt(weibull2, square, a_n)
-        s_f = math.sqrt(ft.s2)
+        tp_f = solve_tilt(weibull2, a_n, f=square)
+        s_f = tp_f.s
         xs = np.arange(0.0, 12.0, 1e-3)
         vals = f_tilted_approx(weibull2, square, 32, a_n, xs)
         total = np.trapezoid(vals, xs)
@@ -274,14 +273,14 @@ def test_criterion_13_general_mean_statistic(weibull2):
 
         # oracle for the squared statistic: X^2 is standard exponential, so
         # condition exponential sums on the y-grid and map back to x
-        lam = ft.lam
+        lam = tp_f.t
         y_lo = max(0.0, a_n - 14.0 * s_f)
         y_hi = a_n + 14.0 * s_f
 
         def tilted_push(y):
             arr = np.asarray(y, dtype=float)
             with np.errstate(over="ignore"):
-                return np.exp(lam * arr - arr - ft.log_phi_f)
+                return np.exp(lam * arr - arr - tp_f.log_phi)
 
         base = discretize(tilted_push, y_lo, y_hi, 1e-3)
         f31 = self_convolve(base, 31)
@@ -290,7 +289,7 @@ def test_criterion_13_general_mean_statistic(weibull2):
 
         def exact_x_conditional(x):
             arr = np.asarray(x, dtype=float)
-            logs = lam * arr**2 + weibull2._log_density_clipped(arr) - ft.log_phi_f
+            logs = lam * arr**2 + weibull2._log_density_clipped(arr) - tp_f.log_phi
             rest = np.maximum(f31.interp(target - arr**2), 0.0)
             full = f32.interp(np.asarray([target]))[0]
             return np.exp(logs) * rest / full

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,48 @@ class TestCliCommands:
         statuses = [row.split(",")[-1] for row in rows]
         assert statuses[0] == "ok"
         assert statuses[-1].startswith("error:")
+
+    def test_tilt_skew_underflow_is_a_typed_row_error(self, tmp_path):
+        # the solver returns s2 ~ 3e-235 at this level, and s^3 underflows to
+        # zero; the row must carry an error status instead of ending the run
+        code = main(
+            [
+                "tilt",
+                "--model",
+                "exp_exponential",
+                "--a-grid",
+                "40.04641616163825:41:1:lin",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        rows = (tmp_path / "tilt.csv").read_text().splitlines()[2:]
+        assert len(rows) == 1
+        status = rows[0].split(",")[-1]
+        assert status == "ok" or status.startswith("error: tilted skewness undefined")
+
+    def test_gibbs_joint_run_emits_no_warnings(self, tmp_path):
+        # the pytest configuration ignores RegimeWarning; record everything here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [
+                    "gibbs",
+                    "--model",
+                    "weibull:k=2",
+                    "--n",
+                    "16,32",
+                    "--a",
+                    "fixed:3",
+                    "--joint-k",
+                    "2",
+                    "--out",
+                    str(tmp_path),
+                ]
+            )
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
 
     def test_malformed_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from extreme_gibbs.errors import DomainError, RegimeWarning
 from extreme_gibbs.gibbs import (
     classify_regime,
-    concentration_summary,
     f_tilted_approx,
     fast_growth_approx,
     fast_growth_params,
     identity,
     joint_fast_approx,
     joint_moderate_approx,
-    solve_f_tilt,
     tilted_approx,
     variance_power_fit,
     z_statistics,
@@ -259,15 +257,25 @@ class TestFMean:
         assert val == fast_growth_approx(params, weibull2, 2.9)
 
     def test_square_statistic_closed_form(self, weibull2):
-        # X^2 is standard exponential here, so m_f(lam) = 1/(1 - lam)
-        ft = solve_f_tilt(weibull2, lambda x: x * x, 3.0)
-        assert ft.lam == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert math.sqrt(ft.s2) == pytest.approx(3.0, rel=1e-8)
+        # X^2 is standard exponential here, so the f-tilt at t has mean
+        # m = 1/(1 - t), variance m^2, third moment 2 m^3 and Phi_f = m
+        for a in (0.5, 1.5, 3.0, 10.0, 100.0):
+            tp = solve_tilt(weibull2, a, f=lambda x: x * x)
+            assert tp.t == pytest.approx(1.0 - 1.0 / a, rel=1e-10)
+            assert tp.s2 == pytest.approx(a * a, rel=1e-9)
+            assert tp.mu3 == pytest.approx(2.0 * a**3, rel=1e-8)
+            assert tp.log_phi == pytest.approx(math.log(a), abs=1e-10)
+            assert math.isnan(tp.psi_val) and math.isnan(tp.psi_d1) and math.isnan(tp.psi_d2)
+
+    def test_zero_and_negative_targets(self, weibull2):
+        # E log X = -gamma/2 here; an f-target can sit at 0 or below it
+        for a in (0.0, -0.5):
+            tp = solve_tilt(weibull2, a, f=np.log)
+            assert abs(tp.a - a) <= 1e-11 * max(abs(a), 1.0)
 
     def test_square_statistic_concentrates_at_root(self, weibull2):
         a_n = 3.0
-        ft = solve_f_tilt(weibull2, lambda x: x * x, a_n)
-        s_f = math.sqrt(ft.s2)
+        s_f = solve_tilt(weibull2, a_n, f=lambda x: x * x).s
         xs = np.arange(0.0, 12.0, 1e-3)
         vals = f_tilted_approx(weibull2, lambda x: x * x, 32, a_n, xs)
         total = np.trapezoid(vals, xs)
@@ -278,7 +286,12 @@ class TestFMean:
     def test_unattainable_target_rejected(self, weibull2):
         # f >= 0 makes every pushforward mean positive
         with pytest.raises(DomainError):
-            solve_f_tilt(weibull2, lambda x: x * x, -1.0)
+            solve_tilt(weibull2, -1.0, f=lambda x: x * x)
+
+    def test_unknown_variant_rejected(self, weibull2):
+        for f in (None, identity, lambda x: x * x):
+            with pytest.raises(DomainError):
+                f_tilted_approx(weibull2, f, 16, 3.0, 2.9, variant="bogus")
 
     def test_modulated_variant_is_normalized(self, weibull2):
         xs = np.arange(0.0, 12.0, 1e-3)
@@ -290,14 +303,11 @@ class TestFMean:
 
 class TestDiagnostics:
     def test_concentration_summary(self, weibull2):
-        center, scale = concentration_summary(weibull2, 64, 1000.0)
-        assert center == 1000.0
-        assert scale == solve_tilt(weibull2, 1000.0).s
+        # X_1 concentrates at a_n with the tilted sd: 1/sqrt(h'(psi)) -> 1/sqrt(2)
+        assert solve_tilt(weibull2, 1000.0).s == pytest.approx(math.sqrt(0.5), rel=1e-5)
 
     def test_concentration_summary_half_gaussian(self, half_gauss):
-        center, scale = concentration_summary(half_gauss, 64, 10.0)
-        assert center == 10.0
-        assert scale == pytest.approx(1.0, abs=1e-6)
+        assert solve_tilt(half_gauss, 10.0).s == pytest.approx(1.0, abs=1e-6)
 
     def test_z_statistics_vanish_on_flat_block(self, weibull2):
         zs = z_statistics(weibull2, 64, 3.0, np.full(8, 3.0))

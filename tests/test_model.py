@@ -11,11 +11,9 @@ from scipy.special import exp1, gamma
 
 from extreme_gibbs.errors import DomainError
 from extreme_gibbs.model import (
-    eval_log_density,
     make_weibull,
     model_diagnostics,
     model_from_spec,
-    psi,
     variation_report,
 )
 
@@ -30,8 +28,8 @@ class TestWeibull:
         assert weibull2.variation.epsilon(10.0) == pytest.approx(2.0 / 199.0, rel=1e-14)
 
     def test_log_density_values(self, weibull2):
-        assert eval_log_density(weibull2, 1.0) == pytest.approx(math.log(2.0) - 1.0, abs=1e-14)
-        assert eval_log_density(weibull2, 2.0) == pytest.approx(math.log(4.0) - 4.0, abs=1e-14)
+        assert weibull2.log_density(1.0) == pytest.approx(math.log(2.0) - 1.0, abs=1e-14)
+        assert weibull2.log_density(2.0) == pytest.approx(math.log(4.0) - 4.0, abs=1e-14)
 
     def test_normalization(self, weibull2):
         diag = model_diagnostics(weibull2)
@@ -55,7 +53,7 @@ class TestWeibull:
             assert weibull2.h(weibull2.psi(t)) == pytest.approx(t, rel=1e-12)
 
     def test_psi_at_one(self, weibull2):
-        assert psi(weibull2, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert weibull2.psi(1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_variation_conditions(self, weibull2):
         rep = variation_report(weibull2)
@@ -118,7 +116,7 @@ class TestExpExponential:
 
 class TestHalfGaussian:
     def test_log_density_at_zero(self, half_gauss):
-        assert eval_log_density(half_gauss, 0.0) == pytest.approx(
+        assert half_gauss.log_density(0.0) == pytest.approx(
             0.5 * math.log(2.0 / math.pi), abs=1e-15
         )
 
@@ -166,7 +164,7 @@ def test_structural_diagnostics(weibull2, half_gauss, exp_exp):
 
 def test_domain_error_below_support(weibull2):
     with pytest.raises(DomainError):
-        eval_log_density(weibull2, -0.5)
+        weibull2.log_density(-0.5)
 
 
 class TestModelSpecs:
@@ -197,6 +195,23 @@ class TestModelSpecs:
             custom._log_density_clipped(xs), weibull2._log_density_clipped(xs), atol=1e-9
         )
         assert custom.psi(3.0) == pytest.approx(weibull2.psi(3.0), rel=1e-10)
+
+    def test_custom_rapid_epsilon_inverts_the_slope(self):
+        # h(x) = e^(x-1) inverts to log t + 1, so eps(t) = t / (h'(psi) psi) = 1/(log t + 1)
+        spec = "\n".join(
+            [
+                "kind = custom",
+                "g = exp(x - 1)",
+                "h = exp(x - 1)",
+                "h_prime = exp(x - 1)",
+                "variation = rapid",
+            ]
+        )
+        custom = model_from_spec(spec)
+        assert custom.variation.kind == "rapid"
+        for t in (5.0, 10.0, 100.0):
+            eps = float(np.asarray(custom.variation.epsilon(t)))
+            assert eps == pytest.approx(1.0 / (math.log(t) + 1.0), abs=1e-10)
 
     def test_custom_without_derivatives(self, weibull2):
         custom = model_from_spec("kind = custom\ng = x**2 - log(x)\nvariation = regular:1")

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from extreme_gibbs.errors import DomainError
+from extreme_gibbs.errors import DomainError, NumericError
 from extreme_gibbs.quad import log_integral
 from extreme_gibbs.tilt import (
+    TiltParams,
     asymptotic_moments,
     gaussian_moment,
     log_mgf,
@@ -19,7 +20,6 @@ from extreme_gibbs.tilt import (
     solve_tilt,
     tilt_moments,
     tilted_density,
-    variance_function,
 )
 
 
@@ -118,6 +118,13 @@ class TestSolveTilt:
     def test_roundtrip_property(self, weibull2, a):
         tp = solve_tilt(weibull2, a)
         assert abs(tp.a - a) / a <= 1e-9
+
+
+class TestSkew:
+    def test_underflowing_s_cubed_is_a_numeric_error(self):
+        tp = TiltParams(t=1.0, a=1.0, s2=3e-235, mu3=1e-300, log_phi=0.0, psi_val=1.0, psi_d1=1.0, psi_d2=1.0)
+        with pytest.raises(NumericError):
+            tp.skew
 
 
 class TestTiltedDensity:
@@ -229,12 +236,12 @@ class TestTrends:
 
 class TestVarianceFunction:
     def test_large_level_half_gaussian(self, half_gauss):
-        assert variance_function(half_gauss, 20.0) == pytest.approx(1.0, abs=1e-6)
+        assert solve_tilt(half_gauss, 20.0).s2 == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_asymptotic_chain(self, weibull2):
-        v = variance_function(weibull2, 1e3)
+        v = solve_tilt(weibull2, 1e3).s2
         assert v == pytest.approx(weibull2.psi_d1(weibull2.h(1e3)), rel=0.1)
 
     def test_at_mean_recovers_density_variance(self, weibull2):
         m0 = tilt_moments(weibull2, 0.0).a
-        assert variance_function(weibull2, m0) == pytest.approx(1.0 - math.pi / 4.0, rel=1e-6)
+        assert solve_tilt(weibull2, m0).s2 == pytest.approx(1.0 - math.pi / 4.0, rel=1e-6)
