@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
 from . import quad
-from .errors import DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 
 __all__ = [
     "VariationClass",
@@ -394,12 +394,20 @@ def _parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
+def _spec_float(text: str, key: str) -> float:
+    """A number from a model spec; a malformed one is a ConfigError."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"model spec field {key!r} must be a number, got {text!r}") from None
+
+
 def _parse_variation(spec: str, h, h_prime, psi_fn) -> VariationClass:
     spec = spec.strip().lower()
     if spec.startswith("regular"):
         beta = 1.0
         if ":" in spec:
-            beta = float(spec.split(":", 1)[1].replace("beta=", ""))
+            beta = _spec_float(spec.split(":", 1)[1].replace("beta=", ""), "variation")
 
         def eps(x):
             arr = np.asarray(x, dtype=float)
@@ -418,9 +426,9 @@ def _parse_variation(spec: str, h, h_prime, psi_fn) -> VariationClass:
 
 
 def _custom_model(fields: dict[str, str]) -> DensityModel:
-    support_lo = float(fields.get("support_lo", "0"))
+    support_lo = _spec_float(fields.get("support_lo", "0"), "support_lo")
     name = fields.get("name", "custom")
-    q_bound = float(fields.get("q_bound", "0"))
+    q_bound = _spec_float(fields.get("q_bound", "0"), "q_bound")
 
     if "table" in fields:
         from scipy.interpolate import CubicSpline
@@ -466,7 +474,7 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
         h_zero = support_lo
 
     if "h_min" in fields:
-        h_min = float(fields["h_min"])
+        h_min = _spec_float(fields["h_min"], "h_min")
     else:
         near = max(support_lo + 1e-9, 1e-9)
         val = float(np.asarray(h(near)))
@@ -479,7 +487,7 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
         var_kind = fields.get("variation", "regular:1").strip().lower()
         eps = _compile_expr(fields["epsilon"], var="t" if var_kind.startswith("rapid") else "x")
         if var_kind.startswith("regular"):
-            beta = float(var_kind.split(":", 1)[1]) if ":" in var_kind else 1.0
+            beta = _spec_float(var_kind.split(":", 1)[1], "variation") if ":" in var_kind else 1.0
             variation = VariationClass("regular", beta, eps, 1.0)
         else:
             variation = VariationClass("rapid", None, eps, 1.0)
@@ -519,9 +527,12 @@ def model_from_spec(source: str) -> DensityModel:
     or ``table = <csv>`` with columns x, g, q.
     """
     text = source
-    if os.path.exists(source) and os.path.isfile(source):
+    if os.path.isfile(source):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
+    elif os.sep in source and "=" not in source:
+        # inline specs with fields hold "=", and bare kinds hold no separator
+        raise ConfigError(f"model spec file not found: {source!r}")
     if "\n" not in text and "=" in text and ":" in text and not text.startswith("kind"):
         kind, _, rest = text.partition(":")
         fields = {"kind": kind.strip()}
@@ -536,7 +547,7 @@ def model_from_spec(source: str) -> DensityModel:
 
     kind = fields.get("kind", "").strip().lower()
     if kind == "weibull":
-        return make_weibull(float(fields.get("k", "2")))
+        return make_weibull(_spec_float(fields.get("k", "2"), "k"))
     if kind in ("exp_exponential", "expexp"):
         return make_exp_exponential()
     if kind == "half_gaussian":

@@ -22,16 +22,17 @@ instead of an exponentially small one.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import DomainError, NumericError, RangeError, ResourceError
 from .model import DensityModel
 from . import quad
-from .tilt import TiltParams, log_tilted_density, solve_tilt, tilted_density
+from .tilt import TiltParams, log_tilted_density, solve_tilt, tilt_moments, tilted_density
 
 __all__ = [
     "GridDensity",
@@ -51,6 +52,10 @@ __all__ = [
 ]
 
 _MAX_GRID_POINTS = 40_000_000
+
+# Convolution values below this fraction of their peak are FFT round-off
+# (untrimmed powers carry noise up to about 2e-15 of the peak).
+_ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -185,15 +190,28 @@ def _convolve_pair(a: GridDensity, b: GridDensity) -> GridDensity:
     av[-1] *= 0.5
     bv[0] *= 0.5
     bv[-1] *= 0.5
-    vals = fftconvolve(av, bv) * a.step
-    np.maximum(vals, 0.0, out=vals)
-    lo = a.lo + b.lo
-    hi = lo + a.step * (n_out - 1)
+    nfft = next_fast_len(n_out, True)
+    vals = irfft(rfft(av, nfft) * rfft(bv, nfft), nfft)[:n_out] * a.step
+    # zero everything under the round-off floor (negative noise included)
+    # and drop the zero runs at both ends; lo moves by whole steps, so the
+    # power stays on the base lattice
+    vals[vals < _ROUNDOFF_FLOOR * vals.max()] = 0.0
+    kept = np.flatnonzero(vals)
+    if kept.size < 2:
+        raise NumericError("convolution power has fewer than two nodes above the round-off floor")
+    vals = vals[kept[0] : kept[-1] + 1].copy()
+    lo = a.lo + b.lo + a.step * kept[0]
+    hi = lo + a.step * (len(vals) - 1)
     return GridDensity(lo, hi, a.step, vals, float(np.trapezoid(vals, dx=a.step))).normalized()
 
 
 class ConvolutionTable:
-    """Lazily computed convolution powers of a base grid, by binary splits."""
+    """Lazily computed convolution powers of a base grid, by binary splits.
+
+    A power is a deterministic function of j, so threads may share a table
+    without a lock: two threads that compute the same power store equal
+    arrays.
+    """
 
     def __init__(self, base: GridDensity):
         self._powers: dict[int, GridDensity] = {1: base}
@@ -239,12 +257,56 @@ def _cell_log_integrals(x: np.ndarray, logf: np.ndarray) -> np.ndarray:
     return np.log(0.5 * step) + np.logaddexp(logf[:-1], logf[1:])
 
 
+def _tilted_tail_mass(model: DensityModel, tp: TiltParams, lo: float, hi: float) -> float:
+    """True mass of the tilted density outside [lo, hi], in log space."""
+
+    def log_pi(x):
+        return log_tilted_density(model, tp, np.asarray(x, dtype=float))
+
+    total = 0.0
+    if lo > model.support_lo:
+        res = quad.log_integral(log_pi, center=lo, scale=tp.s, lo=model.support_lo, hi=lo)
+        total += math.exp(res.log_value)
+    res = quad.log_integral(log_pi, center=hi, scale=tp.s, lo=hi)
+    total += math.exp(res.log_value)
+    return total
+
+
+@lru_cache(maxsize=16)
+def _tilted_table(model: DensityModel, a_n: float, step: float, pad: float) -> tuple[TiltParams, ConvolutionTable]:
+    """Tilt at level a_n and the convolution table of the tilted density.
+
+    The oracles of every n at one level share the result.
+    """
+    tp = solve_tilt(model, a_n)
+    if tp.t < 0.0:
+        # below-mean levels are not rare events; an upward-reweighted
+        # tilted grid would amplify convolution noise, so use the raw
+        # density (tilt zero) instead - the factorization is invariant
+        tp = tilt_moments(model, 0.0)
+    lo = max(model.support_lo, tp.a - pad * tp.s)
+    hi = tp.a + pad * tp.s
+    base = discretize(
+        lambda x: tilted_density(model, tp, x),
+        lo,
+        hi,
+        step,
+        clipped_mass=_tilted_tail_mass(model, tp, lo, hi),
+    )
+    return tp, ConvolutionTable(base)
+
+
+# Two oracles built at once for one level must get the same table; the lock
+# covers the base grid only, never a convolution.
+_TABLE_LOCK = threading.Lock()
+
+
 class ConditionalOracle:
     """Exact conditional laws for one model at one (n, a_n) pair.
 
-    Builds the tilted base grid once and reuses its convolution powers for
-    point conditionals (any k <= 3), exceedance conditionals, tail
-    probabilities, and sum densities.
+    Takes the tilted base grid and its convolution powers from a table that
+    is shared across n, and uses them for point conditionals (any k <= 3),
+    exceedance conditionals, tail probabilities, and sum densities.
     """
 
     def __init__(
@@ -261,42 +323,9 @@ class ConditionalOracle:
         self.n = int(n)
         self.a_n = float(a_n)
         self.step = float(step)
-        tp = solve_tilt(model, float(a_n))
-        if tp.t < 0.0:
-            # below-mean levels are not rare events; an upward-reweighted
-            # tilted grid would amplify convolution noise, so use the raw
-            # density (tilt zero) instead - the factorization is invariant
-            from .tilt import tilt_moments
-
-            tp = tilt_moments(model, 0.0)
-        self.tp: TiltParams = tp
-        s = self.tp.s
-        center = self.tp.a
-        lo = max(model.support_lo, center - pad * s)
-        hi = center + pad * s
-        base = discretize(
-            lambda x: tilted_density(model, self.tp, x),
-            lo,
-            hi,
-            step,
-            clipped_mass=self._tilted_tail_mass(lo, hi),
-        )
-        self.table = ConvolutionTable(base)
+        with _TABLE_LOCK:
+            self.tp, self.table = _tilted_table(model, self.a_n, self.step, float(pad))
         self._suffix_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _tilted_tail_mass(self, lo: float, hi: float) -> float:
-        """True mass of the tilted density outside [lo, hi], in log space."""
-
-        def log_pi(x):
-            return log_tilted_density(self.model, self.tp, np.asarray(x, dtype=float))
-
-        total = 0.0
-        if lo > self.model.support_lo:
-            res = quad.log_integral(log_pi, center=lo, scale=self.tp.s, lo=self.model.support_lo, hi=lo)
-            total += math.exp(res.log_value)
-        res = quad.log_integral(log_pi, center=hi, scale=self.tp.s, lo=hi)
-        total += math.exp(res.log_value)
-        return total
 
     # -- point conditional ---------------------------------------------------
 
@@ -564,15 +593,20 @@ class TVResult:
 def _values_on(obj, xs: np.ndarray) -> np.ndarray:
     if isinstance(obj, GridDensity):
         return obj.interp(xs)
+    if isinstance(obj, np.ndarray):
+        if obj.shape != xs.shape:
+            raise DomainError("a value array must lie on the grid nodes")
+        return obj
     return np.asarray(obj(xs), dtype=float)
 
 
 def tv_distance(f, g, grid=None) -> TVResult:
     """Total variation distance (half the L1 gap) after renormalizing both.
 
-    ``f`` and ``g`` are GridDensity objects or callables.  ``grid`` is a
-    ``(lo, hi, step)`` triple or an array of nodes; it may be omitted when
-    both inputs are GridDensity objects with identical layout.
+    ``f`` and ``g`` are GridDensity objects, callables, or value arrays
+    already evaluated on the grid nodes.  ``grid`` is a ``(lo, hi, step)``
+    triple or an array of nodes; it may be omitted when both inputs are
+    GridDensity objects with identical layout.
     """
     if grid is None:
         if (

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import extreme_gibbs
 from extreme_gibbs.cli import main
 from extreme_gibbs.config import AGrid, ARule, ApproxReport, ExperimentConfig, fmt17
 from extreme_gibbs.errors import ConfigError
@@ -160,6 +164,13 @@ class TestCliCommands:
         assert code == 2
         assert "modle" in capsys.readouterr().err
 
+    def test_bad_model_number_exits_with_one_line(self, tmp_path, capsys):
+        code = main(["tilt", "--model", "weibull:k=abc", "--a-grid", "2:10:3:log", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: model spec field 'k' must be a number, got 'abc'"
+        ]
+
     def test_gibbs_reproducible_byte_identical(self, tmp_path):
         args = [
             "gibbs",
@@ -241,6 +252,20 @@ class TestValidate:
         assert summary["version"] == "0.1.0"
         for check in summary["checks"]:
             assert set(check) == {"name", "passed", "measured", "tolerance"}
+
+    def test_suite_imports_neither_signal_nor_stats(self):
+        # each costs about 0.5 s of import time, and the suite needs neither
+        script = (
+            "import sys\n"
+            "from extreme_gibbs.cli import run_validation\n"
+            "from extreme_gibbs.config import ExperimentConfig\n"
+            "assert run_validation(ExperimentConfig())['passed']\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(extreme_gibbs.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_broken_tolerance_fails_and_names_check(self, tmp_path):
         code = main(

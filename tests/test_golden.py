@@ -3,13 +3,18 @@
 Small ``tilt``, ``gibbs``, ``exceed`` and ``validate`` runs go through
 ``cli.main``, and the sha256 of every file they write must equal the digest
 recorded below.  A change that is meant to move numbers has to say so, state
-its tolerance, test it, and re-record these digests.
+its tolerance, test it, and re-record these digests:
+``PYTHONPATH=src python tests/test_golden.py`` prints the current ones in the
+layout of ``DIGESTS``.
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
 on x86-64; other library builds may round differently in the last digit.
 """
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -27,27 +32,40 @@ DIGESTS = {
         "tilt.csv": "7938bebc030ba8b6d4e0b9b4178fa3c0a447be8f4d07af08db2bd523175df69f",
     },
     "gibbs": {
-        "curve_fast_growth_n16.csv": "77e1aa774d7dfe089266dec8761a25887764f2778f2acfe37b5e1b2da1e90730",
-        "curve_fast_growth_n32.csv": "50bab6115082d31e59d454478f4c110d6b5c9c5066220937edfbbd10dedd2654",
-        "curve_tilted_n16.csv": "4eddb4a1f6b07bc8198b9c06baf456204a98468cc19b7b46e1f84ed348e6d0de",
-        "curve_tilted_n32.csv": "db43b82b4de7ee5f4547d2e05cf66fb6d0feaaaa5aad25220daee762b3498b7f",
-        "gibbs.csv": "fdabfa2de84931a2bae32993972879e4b133b474e35dbf62926022e5959b6ea9",
+        "curve_fast_growth_n16.csv": "365b4abc026b00724aea4ee8329fc5b6e5e8efd482e32209ab0838074afdae6a",
+        "curve_fast_growth_n32.csv": "a3451478a19aa9ba77e464742b97c54674453df9c327fea617981b1320b1aace",
+        "curve_tilted_n16.csv": "e23637dd02ca9b8d2866eb2ad5880d420ae33d6215bc7891f99c9e8b5375a487",
+        "curve_tilted_n32.csv": "d33521896f32919f0eb3380f96a275a7f3375a462718c27a0c7dfc1d64fcddf3",
+        "gibbs.csv": "265086320020187a8add225014ca75336761216ef1271dcbcf900236c9212cd8",
     },
     "exceed": {
-        "curve_exceed_n16.csv": "d7ac4b87246d4f192e656236be76f2c11295726ade77317cad0dae6617b36769",
-        "curve_exceed_n8.csv": "df4735c8db5817bb8dfb22dd33fcc9685a0a64864d01356cb0efae4dd5b34780",
-        "exceed.csv": "6706f4a91f009a07364e6b7769acb3da8c7eeb54e8d33ea9a048c1ffb6fd7ad6",
+        "curve_exceed_n16.csv": "727725e9b050580fdfdd16eb5df7f4dda7b865e071ec4bafcb26ea0b72460b77",
+        "curve_exceed_n8.csv": "53c3977d63cb2ec7d57cee202347a0aa57e1e96fe3f4d047b7a972a75ad9a9dd",
+        "exceed.csv": "1c6244f02ae4406fc7408b629b3eef6cbaf2d560289537b34fc7688325906817",
     },
     "validate": {
-        "validate.json": "ecd0446b56ba6b2f286da34f082c40fcf83fa1b0f8209487f7d7ba51150ede53",
+        "validate.json": "2d5b0709f3c5e811edcb98825883a15832c8aed4d45518de4e53a922a6bbb728",
     },
 }
 
 
+def _digests(command: str, out: Path) -> dict[str, str]:
+    assert main(RUNS[command] + ["--out", str(out)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+
+
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_outputs_match_recorded_digests(command, tmp_path):
-    assert main(RUNS[command] + ["--out", str(tmp_path)]) == 0
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())
-    }
-    assert written == DIGESTS[command]
+    assert _digests(command, tmp_path) == DIGESTS[command]
+
+
+if __name__ == "__main__":
+    lines = ["DIGESTS = {"]
+    for command in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = _digests(command, Path(tmp))
+        lines.append(f'    "{command}": {{')
+        lines.extend(f'        "{name}": "{digest}",' for name, digest in digests.items())
+        lines.append("    },")
+    lines.append("}")
+    sys.stdout.write("\n".join(lines) + "\n")

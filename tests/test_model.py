@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 from scipy.special import exp1, gamma
 
-from extreme_gibbs.errors import DomainError
+from extreme_gibbs.errors import ConfigError, DomainError
 from extreme_gibbs.model import (
     make_weibull,
     model_diagnostics,
@@ -176,6 +176,17 @@ class TestModelSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             model_from_spec("cauchy")
+
+    def test_malformed_number_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="'k' must be a number, got 'abc'"):
+            model_from_spec("weibull:k=abc")
+        with pytest.raises(ConfigError, match="support_lo"):
+            model_from_spec("kind = custom\ng = x**2\nsupport_lo = zero\n")
+
+    def test_missing_spec_file_is_named(self, tmp_path):
+        missing = str(tmp_path / "nonexistent" / "spec.txt")
+        with pytest.raises(ConfigError, match="spec file not found"):
+            model_from_spec(missing)
 
     def test_custom_expressions_match_builtin(self, weibull2):
         spec = "\n".join(

@@ -1,12 +1,16 @@
 """Convolution grids, exact conditional laws, Monte Carlo conditioning."""
 
+import copy
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
+from scipy.signal import fftconvolve
 from scipy.special import erf
 from scipy.stats import norm
 
@@ -25,6 +29,7 @@ from extreme_gibbs.oracle import (
     tv_from_values,
     tv_histogram,
 )
+from extreme_gibbs.model import make_weibull, model_from_spec
 from extreme_gibbs.tilt import solve_tilt, tilted_density
 
 
@@ -130,6 +135,107 @@ class TestExactConditional:
         marginal = np.trapezoid(joint, grid, axis=1)
         exact = orc.conditional_curve(grid)
         assert float(np.max(np.abs(marginal - exact))) < 1e-3
+
+
+def _full_grid_pair(a, b):
+    """Untrimmed convolution: every node of the full output grid, clipped at zero."""
+    av, bv = a.values.copy(), b.values.copy()
+    av[[0, -1]] *= 0.5
+    bv[[0, -1]] *= 0.5
+    vals = np.maximum(fftconvolve(av, bv) * a.step, 0.0)
+    lo = a.lo + b.lo
+    hi = lo + a.step * (len(vals) - 1)
+    return GridDensity(lo, hi, a.step, vals, float(np.trapezoid(vals, dx=a.step))).normalized()
+
+
+class _FullGridTable:
+    """Convolution powers by the same binary splits, without the trim."""
+
+    def __init__(self, base):
+        self._powers = {1: base}
+
+    def power(self, j):
+        got = self._powers.get(j)
+        if got is None:
+            half = 1 << (j.bit_length() - 1)
+            if half == j:
+                got = _full_grid_pair(self.power(j // 2), self.power(j // 2))
+            else:
+                got = _full_grid_pair(self.power(half), self.power(j - half))
+            self._powers[j] = got
+        return got
+
+
+def _assert_rel(got, want, tol):
+    assert np.all(np.abs(got - want) <= tol * want), float(np.max(np.abs(got - want) / want))
+
+
+class TestTrimmedPowers:
+    @pytest.mark.parametrize(
+        "spec, a, whole_tol",
+        [
+            ("weibull:k=2", 2.0, 1e-12),
+            ("weibull:k=2", 3.0, 1e-12),
+            ("half_gaussian", 3.0, 1e-10),
+            ("exp_exponential", 4.0, 1e-10),
+        ],
+    )
+    def test_trimmed_agree_with_full_grid_powers(self, spec, a, whole_tol):
+        model = model_from_spec(spec)
+        full = None
+        for n in (8, 64, 256):
+            orc = ConditionalOracle(model, n, a)
+            if full is None:
+                full = _FullGridTable(orc.table.power(1))
+            ref = copy.copy(orc)
+            ref.table = full
+            ref._suffix_cache = {}
+            ys = orc.default_ygrid()
+            got, want = orc.conditional_curve(ys), ref.conditional_curve(ys)
+            core = want >= 1e-6 * want.max()
+            _assert_rel(got[core], want[core], 1e-12)
+            _assert_rel(got, want, whole_tol)
+            _assert_rel(orc.exceedance_curve(ys), ref.exceedance_curve(ys), 1e-10)
+            assert abs(orc.log_tail() - ref.log_tail()) <= 1e-10
+
+    def test_powers_stay_on_the_base_lattice(self, weibull2):
+        table = ConditionalOracle(weibull2, 64, 3.0).table
+        base = table.power(1)
+        for j in (2, 63, 64):
+            grid = table.power(j)
+            offset = (grid.lo - j * base.lo) / base.step
+            assert abs(offset - round(offset)) < 1e-6
+            assert len(grid.values) < j * (len(base.values) - 1) + 1
+
+
+class TestSharedTables:
+    def test_levels_share_one_table_across_n(self, weibull2):
+        assert get_oracle(weibull2, 32, 3.0).table is get_oracle(weibull2, 128, 3.0).table
+
+    def test_threaded_build_matches_serial(self):
+        # the powers are computed on first use, so each worker convolves;
+        # more workers than cores and a short switch interval mix their steps
+        def build(model, n):
+            orc = ConditionalOracle(model, n, 3.0)
+            return orc, orc.conditional_curve(orc.default_ygrid())
+
+        ns = (32, 33, 128, 512)
+        serial_model, threaded_model = make_weibull(2.0), make_weibull(2.0)
+        serial = [build(serial_model, n) for n in ns]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda n: build(threaded_model, n), ns, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(orc.table) for orc, _ in threaded}) == 1
+        for (_, want), (_, got) in zip(serial, threaded):
+            assert np.array_equal(got, want)
+
+    def test_large_n_fits_the_memory_guard(self):
+        orc = ConditionalOracle(make_weibull(2.0), 4096, 3.0)
+        assert math.isfinite(orc.log_tail())
 
 
 class TestExceedanceConditional:
