@@ -36,7 +36,7 @@ def main() -> None:
             orc = get_oracle(model, n, args.a)
             mix = ExceedanceMixture(model, n, args.a)
             ys = orc.default_ygrid()
-            tv = tv_distance(lambda y: orc.exceedance_curve(y), lambda y: mix.density(y), grid=ys).tv
+            tv = tv_distance(orc.exceedance_curve(ys), mix.density(ys), ys).tv
             ratio = math.exp(tail_probability(model, n, args.a) - orc.log_tail())
             lp1, lp2 = window_tail_masses(model, n, args.a)
             spill = math.exp(lp2 - lp1)

@@ -41,8 +41,9 @@ def main() -> None:
                 tilted = tilted_approx(model, n, args.a, ys, tp=orc.tp)
                 params = fast_growth_params(model, n, args.a, tp=orc.tp)
             fast = fast_growth_approx(params, model, ys)
-            tv_t = tv_distance(lambda y: orc.conditional_curve(y), lambda y: np.interp(y, ys, tilted), grid=ys).tv
-            tv_f = tv_distance(lambda y: orc.conditional_curve(y), lambda y: np.interp(y, ys, fast), grid=ys).tv
+            exact = orc.conditional_curve(ys)
+            tv_t = tv_distance(exact, tilted, ys).tv
+            tv_f = tv_distance(exact, fast, ys).tv
             tv_j = float("nan")
             if n > 8:
                 s = orc.tp.s

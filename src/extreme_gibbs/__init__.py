@@ -68,13 +68,11 @@ from .exceedance import (
 )
 from .oracle import (
     ConditionalOracle,
+    ConvolutionTable,
     GridDensity,
     TVResult,
     discretize,
-    exact_conditional,
-    exact_exceedance_conditional,
     mc_conditional_sample,
-    self_convolve,
     tv_distance,
 )
 from .config import AGrid, ApproxReport, ARule, ExperimentConfig

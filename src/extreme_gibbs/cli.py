@@ -34,7 +34,7 @@ from . import exceedance as exc
 from . import gibbs
 from . import oracle
 from . import tilt
-from .config import AGrid, ApproxReport, ARule, ExperimentConfig, fmt17
+from .config import AGrid, ApproxReport, ARule, ExperimentConfig, _parse_float, fmt17
 from .errors import ConfigError, ExtremeGibbsError
 from .model import make_exp_exponential, make_half_gaussian, make_weibull, model_from_spec
 
@@ -75,7 +75,7 @@ def _write_table(path: str, header: list[str], rows: list[list], fmt: str) -> No
         fh.write(f"# extreme-gibbs v{__version__}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _cell(v) -> str:
@@ -129,19 +129,11 @@ def cmd_tilt(cfg: ExperimentConfig) -> list[list]:
 # ---------------------------------------------------------------------------
 
 _REPORT_HEADER = ["name", "regime", "n", "a_n", "tv", "sup_gap", "extra"]
+_CURVE_HEADER = ["y", "exact", "approx"]
 
 
 def _report_rows(reports: list[ApproxReport]) -> list[list]:
     return [[r.name, r.regime, r.n, r.a_n, r.tv, r.sup_gap, r.extra] for r in reports]
-
-
-def _write_curves(path: str, ys: np.ndarray, exact: np.ndarray, approx: np.ndarray) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# extreme-gibbs v{__version__}\n")
-        fh.write("y,exact,approx\n")
-        for y, e, a in zip(ys, exact, approx):
-            fh.write(f"{fmt17(y)},{fmt17(e)},{fmt17(a)}\n")
 
 
 def cmd_gibbs(cfg: ExperimentConfig) -> list[ApproxReport]:
@@ -166,7 +158,7 @@ def cmd_gibbs(cfg: ExperimentConfig) -> list[ApproxReport]:
         zs = gibbs.z_statistics(model, n, a_n, np.full(max(1, min(8, n // 4)), a_n))
         elapsed = (time.perf_counter() - started) * 1e3
         for name, vals in (("tilted", tilted), ("fast_growth", fast)):
-            r = oracle.tv_distance(vals, exact, grid=ys)
+            r = oracle.tv_distance(vals, exact, ys)
             out.append(
                 ApproxReport(
                     name=name,
@@ -179,7 +171,8 @@ def cmd_gibbs(cfg: ExperimentConfig) -> list[ApproxReport]:
                     extra={"ratio": float(a_n / (orc.tp.s * math.sqrt(n))), "max_z2": float(np.max(zs**2))},
                 )
             )
-            _write_curves(os.path.join(cfg.out, f"curve_{name}_n{n}.csv"), ys, exact, vals)
+            path = os.path.join(cfg.out, f"curve_{name}_n{n}.csv")
+            _write_table(path, _CURVE_HEADER, list(zip(ys, exact, vals)), "csv")
         if cfg.joint_k == 2 and n > 8:
             s = orc.tp.s
             grid = np.arange(max(model.support_lo, a_n - 8 * s), a_n + 8 * s, 10 * cfg.grid_step)
@@ -226,10 +219,11 @@ def cmd_exceed(cfg: ExperimentConfig) -> list[ApproxReport]:
         ys = orc.default_ygrid()
         exact = orc.exceedance_curve(ys)
         approx = mix.density(ys)
-        r = oracle.tv_distance(exact, approx, grid=ys)
+        r = oracle.tv_distance(exact, approx, ys)
         tail_ratio = math.exp(exc.tail_probability(model, n, a_n) - orc.log_tail())
         lp1, lp2 = exc.window_tail_masses(model, n, a_n)
-        _write_curves(os.path.join(cfg.out, f"curve_exceed_n{n}.csv"), ys, exact, approx)
+        path = os.path.join(cfg.out, f"curve_exceed_n{n}.csv")
+        _write_table(path, _CURVE_HEADER, list(zip(ys, exact, approx)), "csv")
         regime = cfg.regime if cfg.regime != "auto" else gibbs.classify_regime(model, n, a_n).kind
         return ApproxReport(
             name="exceedance_mixture",
@@ -322,12 +316,13 @@ def run_validation(cfg: ExperimentConfig) -> dict:
     def normal_pdf(x):
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    r = oracle.tv_distance(normal_pdf, lambda x: normal_pdf(x - 0.1), grid=(-8.0, 8.1, 1e-3))
+    xs = np.arange(-8.0, 8.1 + 0.5e-3, 1e-3)
+    r = oracle.tv_distance(normal_pdf(xs), normal_pdf(xs - 0.1), xs)
     closed = 2.0 * ndtr(0.05) - 1.0
     record("tv_shifted_normals", abs(r.tv - closed), 2e-4)
 
     base = oracle.discretize(hg, 0.0, 12.0, 1e-3)
-    conv4 = oracle.self_convolve(base, 4)
+    conv4 = oracle.ConvolutionTable(base).power(4)
     record("conv_variance_linearity", abs(conv4.var() / (4 * base.var()) - 1.0), 1e-4)
 
     ratios = [gibbs.classify_regime(wb, 64, a).ratio for a in (1.0, 2.0, 4.0, 8.0)]
@@ -443,7 +438,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             name, _, value = item.partition("=")
             if not value:
                 raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-            tol[name.strip()] = float(value)
+            tol[name.strip()] = _parse_float(value, "tol." + name.strip())
         updates["tol"] = tuple(sorted(tol.items()))
     from dataclasses import replace
 

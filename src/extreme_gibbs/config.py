@@ -110,6 +110,14 @@ def _parse_float(text: str, key: str) -> float:
         raise ConfigError(f"value for {key!r} is not a number: {text!r}") from None
 
 
+def _parse_int(text: str, key: str) -> int:
+    """An integer field; integral floats such as ``2.0`` are accepted."""
+    value = _parse_float(text, key)
+    if not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"value for {key!r} is not an integer: {text!r}")
+    return int(value)
+
+
 _KNOWN_KEYS = {
     "model",
     "n",
@@ -182,9 +190,9 @@ class ExperimentConfig:
             elif key == "grid.pad":
                 updates["grid_pad"] = _parse_float(val, key)
             elif key == "seed":
-                updates["seed"] = int(_parse_float(val, key))
+                updates["seed"] = _parse_int(val, key)
             elif key == "threads":
-                updates["threads"] = int(_parse_float(val, key))
+                updates["threads"] = _parse_int(val, key)
             elif key == "out":
                 updates["out"] = val
             elif key == "format":
@@ -192,7 +200,7 @@ class ExperimentConfig:
                     raise ConfigError(f"format must be csv or json: {val!r}")
                 updates["fmt"] = val
             elif key == "joint_k":
-                updates["joint_k"] = int(_parse_float(val, key))
+                updates["joint_k"] = _parse_int(val, key)
         if tol:
             updates["tol"] = tuple(sorted(tol.items()))
         return replace(cfg, **updates)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import DensityModel
-from .oracle import discretize, self_convolve
+from .oracle import ConvolutionTable, discretize
 from .tilt import TiltParams, normalized_tilted_density, tilt_moments
 
 __all__ = [
@@ -96,11 +96,11 @@ def edgeworth_error_curve(
         raise DomainError("ns must be a nonempty list of integers >= 2")
     tp = tilt_moments(model, t)
     u_lo = max(-u_max, (model.support_lo - tp.a) / tp.s)
-    base = discretize(lambda u: normalized_tilted_density(model, tp, u), u_lo, u_max, step)
+    table = ConvolutionTable(discretize(lambda u: normalized_tilted_density(model, tp, u), u_lo, u_max, step))
 
     out: list[tuple[int, float, float]] = []
     for n in ns:
-        sum_grid = self_convolve(base, n)
+        sum_grid = table.power(n)
         root_n = math.sqrt(n)
         xs = sum_grid.x() / root_n
         keep = np.abs(xs) <= x_range

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,11 +37,9 @@ from .tilt import TiltParams, log_tilted_density, solve_tilt, tilt_moments, tilt
 __all__ = [
     "GridDensity",
     "discretize",
-    "self_convolve",
+    "ConvolutionTable",
     "ConditionalOracle",
     "get_oracle",
-    "exact_conditional",
-    "exact_exceedance_conditional",
     "McSample",
     "mc_conditional_sample",
     "TVResult",
@@ -102,20 +100,6 @@ class GridDensity:
         xs = self.x()
         m = self.mean()
         return float(np.trapezoid((xs - m) ** 2 * self.values, dx=self.step) / self.trapz_mass())
-
-    def to_csv(self, path: str) -> None:
-        xs = self.x()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,density\n")
-            for xi, vi in zip(xs, self.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
-
-    @staticmethod
-    def from_csv(path: str) -> "GridDensity":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        xs, vals = data[:, 0], data[:, 1]
-        step = float(xs[1] - xs[0])
-        return GridDensity(float(xs[0]), float(xs[-1]), step, vals, float(np.trapezoid(vals, dx=step)))
 
 
 def _model_tail_mass(model: DensityModel, lo: float, hi: float) -> float:
@@ -206,11 +190,11 @@ def _convolve_pair(a: GridDensity, b: GridDensity) -> GridDensity:
 
 
 class ConvolutionTable:
-    """Lazily computed convolution powers of a base grid, by binary splits.
+    """Convolution powers of a base grid, computed lazily by binary splits.
 
-    A power is a deterministic function of j, so threads may share a table
-    without a lock: two threads that compute the same power store equal
-    arrays.
+    ``power(n)`` is the density of the sum of n i.i.d. copies. A power is a
+    deterministic function of n, so threads may share a table without a
+    lock: two threads that compute the same power store equal arrays.
     """
 
     def __init__(self, base: GridDensity):
@@ -230,11 +214,6 @@ class ConvolutionTable:
             out = _convolve_pair(self.power(half), self.power(j - half))
         self._powers[j] = out
         return out
-
-
-def self_convolve(d: GridDensity, n: int) -> GridDensity:
-    """Density of the sum of n i.i.d. copies of the gridded variable."""
-    return ConvolutionTable(d).power(int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +284,9 @@ class ConditionalOracle:
     """Exact conditional laws for one model at one (n, a_n) pair.
 
     Takes the tilted base grid and its convolution powers from a table that
-    is shared across n, and uses them for point conditionals (any k <= 3),
-    exceedance conditionals, tail probabilities, and sum densities.
+    is shared across n, and uses them for the conditional densities of one
+    and two coordinates, exceedance conditionals, tail probabilities, and
+    sum densities.  The conditional methods take arrays and return arrays.
     """
 
     def __init__(
@@ -327,49 +307,34 @@ class ConditionalOracle:
             self.tp, self.table = _tilted_table(model, self.a_n, self.step, float(pad))
         self._suffix_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    # -- point conditional ---------------------------------------------------
+    # -- point conditionals ---------------------------------------------------
 
-    def log_conditional(self, ys) -> float:
-        """Log density of (X_1..X_k) given the sum equals n * a_n."""
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        k = len(ys)
-        if k >= self.n:
-            raise DomainError("need k < n")
-        target = self.n * self.a_n
-        rest = target - float(np.sum(ys))
+    def _log_conditional(self, log_num: np.ndarray, rest: np.ndarray, k: int) -> np.ndarray:
+        """log_num + log f_(n-k)(rest) - log f_n(n a_n), in that order.
+
+        ``rest`` is n a_n minus the sum of the k conditioned coordinates.
+        """
         f_rest = self.table.power(self.n - k)
         f_full = self.table.power(self.n)
-        log_num = float(np.sum(log_tilted_density(self.model, self.tp, ys)))
-        log_num += float(_log_interp(f_rest, np.asarray([rest]))[0])
-        return log_num - float(_log_interp(f_full, np.asarray([target]))[0])
-
-    def conditional_density(self, ys) -> float:
-        return math.exp(self.log_conditional(ys))
+        logs = log_num + _log_interp(f_rest, rest)
+        logs -= float(_log_interp(f_full, np.asarray([self.n * self.a_n]))[0])
+        return logs
 
     def conditional_curve(self, ys: np.ndarray) -> np.ndarray:
-        """Vectorized k = 1 conditional density over an array of y values."""
+        """Density of X_1 given the sum equals n a_n, over an array of y."""
         ys = np.asarray(ys, dtype=float)
-        target = self.n * self.a_n
-        f_rest = self.table.power(self.n - 1)
-        f_full = self.table.power(self.n)
         logs = log_tilted_density(self.model, self.tp, ys)
-        logs = logs + _log_interp(f_rest, target - ys)
-        logs = logs - float(_log_interp(f_full, np.asarray([target]))[0])
-        return np.exp(logs)
+        return np.exp(self._log_conditional(logs, self.n * self.a_n - ys, 1))
 
     def joint2_grid(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """k = 2 conditional density on the product grid y1 x y2."""
+        """Density of (X_1, X_2) given the sum equals n a_n, on y1 x y2."""
         if self.n <= 2:
             raise DomainError("joint conditional needs n > 2")
-        target = self.n * self.a_n
-        f_rest = self.table.power(self.n - 2)
-        f_full = self.table.power(self.n)
+        self.table.power(self.n - 2)  # convolve first: its memory peak and the grids' must not add up
         l1 = log_tilted_density(self.model, self.tp, y1)
         l2 = log_tilted_density(self.model, self.tp, y2)
-        rest = target - (y1[:, None] + y2[None, :])
-        logs = l1[:, None] + l2[None, :] + _log_interp(f_rest, rest)
-        logs -= float(_log_interp(f_full, np.asarray([target]))[0])
-        return np.exp(logs)
+        rest = self.n * self.a_n - (y1[:, None] + y2[None, :])
+        return np.exp(self._log_conditional(l1[:, None] + l2[None, :], rest, 2))
 
     # -- exceedance conditional and tails -------------------------------------
 
@@ -425,51 +390,25 @@ class ConditionalOracle:
         logp = self.model._log_density_clipped(ys)
         return np.exp(logp - self.tp.log_phi + log_a - log_b)
 
-    def log_exceedance_conditional(self, y: float) -> float:
-        logp = float(self.model._log_density_clipped(np.asarray([y]))[0])
-        target = self.n * self.a_n
-        log_a = float(self._log_exp_tail(self.n - 1, np.asarray([target - y]))[0])
-        log_b = float(self._log_exp_tail(self.n, np.asarray([target]))[0])
-        return logp - self.tp.log_phi + log_a - log_b
-
-    def log_sum_density(self, x: float) -> float:
-        """log of the n-fold convolution density of the raw model at x."""
-        f_full = self.table.power(self.n)
-        return (
-            self.n * self.tp.log_phi
-            - self.tp.t * x
-            + float(_log_interp(f_full, np.asarray([x]))[0])
-        )
-
     def log_mean_density(self, tau: float) -> float:
         """log density of the sample mean at tau (n times the sum density)."""
-        return math.log(self.n) + self.log_sum_density(self.n * tau)
+        x = self.n * tau
+        # the raw sum density is e^(n log_phi - t x) times the tilted one
+        log_sum = self.n * self.tp.log_phi - self.tp.t * x + float(_log_interp(self.table.power(self.n), [x])[0])
+        return math.log(self.n) + log_sum
 
-    def default_ygrid(self, width: float = 10.0, step: float | None = None) -> np.ndarray:
+    def default_ygrid(self) -> np.ndarray:
+        """The oracle's step over a_n +- 10 tilted sd, cut at the support edge."""
         s = self.tp.s
-        lo = max(self.model.support_lo, self.a_n - width * s)
-        hi = self.a_n + width * s
-        st = self.step if step is None else step
-        return np.arange(lo, hi + 0.5 * st, st)
+        lo = max(self.model.support_lo, self.a_n - 10.0 * s)
+        hi = self.a_n + 10.0 * s
+        return np.arange(lo, hi + 0.5 * self.step, self.step)
 
 
 @lru_cache(maxsize=64)
 def get_oracle(model: DensityModel, n: int, a_n: float, step: float = 1e-3, pad: float = 14.0) -> ConditionalOracle:
     """Shared oracle cache; models hash by identity."""
     return ConditionalOracle(model, n, a_n, step=step, pad=pad)
-
-
-def exact_conditional(model: DensityModel, n: int, a_n: float, ys, step: float = 1e-3) -> float:
-    """Exact conditional density of (X_1..X_k) given S_n = n a_n, k <= 3."""
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if len(ys) > 3:
-        raise DomainError("point conditionals support k <= 3 (grid cost)")
-    return get_oracle(model, n, float(a_n), step).conditional_density(ys)
-
-
-def exact_exceedance_conditional(model: DensityModel, n: int, a_n: float, y: float, step: float = 1e-3) -> float:
-    """Exact conditional density of X_1 given S_n >= n a_n."""
-    return math.exp(get_oracle(model, n, float(a_n), step).log_exceedance_conditional(float(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +418,13 @@ def exact_exceedance_conditional(model: DensityModel, n: int, a_n: float, y: flo
 
 @dataclass
 class McSample:
-    """Accepted first-coordinate draws plus bookkeeping for one MC run."""
+    """Accepted first-coordinate draws (rejected ones are not kept) of one MC run."""
 
     x1: np.ndarray
     acceptance_rate: float
     n_proposals: int
     epsilon: float
     tp: TiltParams
-    all_x1: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-    accepted_mask: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0, dtype=bool))
-
-    def dump_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("draw_index,x1,accepted\n")
-            for i, (x, ok) in enumerate(zip(self.all_x1, self.accepted_mask)):
-                fh.write(f"{i},{x:.17g},{int(ok)}\n")
 
 
 def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None, n_nodes: int = 20001):
@@ -539,12 +470,12 @@ def mc_conditional_sample(
         raise DomainError("epsilon must be positive")
     if n_draws < 1:
         raise DomainError("need at least one proposal")
+    if proposal not in ("tilted", "raw"):
+        raise DomainError(f"proposal must be 'tilted' or 'raw', got {proposal!r}")
     tp = solve_tilt(model, float(a_n))
     xs, cdf = _inverse_cdf_table(model, tp if proposal == "tilted" else None)
 
     kept: list[np.ndarray] = []
-    all_x1: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
     done = 0
     batch_index = 0
     n_acc = 0
@@ -556,8 +487,6 @@ def mc_conditional_sample(
         means = draws.mean(axis=1)
         mask = np.abs(means - a_n) <= epsilon
         kept.append(draws[mask, 0])
-        all_x1.append(draws[:, 0])
-        masks.append(mask)
         n_acc += int(mask.sum())
         done += rows
         batch_index += 1
@@ -574,8 +503,6 @@ def mc_conditional_sample(
         n_proposals=n_draws,
         epsilon=float(epsilon),
         tp=tp,
-        all_x1=np.concatenate(all_x1),
-        accepted_mask=np.concatenate(masks),
     )
 
 
@@ -590,42 +517,14 @@ class TVResult:
     sup_gap: float
 
 
-def _values_on(obj, xs: np.ndarray) -> np.ndarray:
-    if isinstance(obj, GridDensity):
-        return obj.interp(xs)
-    if isinstance(obj, np.ndarray):
-        if obj.shape != xs.shape:
-            raise DomainError("a value array must lie on the grid nodes")
-        return obj
-    return np.asarray(obj(xs), dtype=float)
-
-
-def tv_distance(f, g, grid=None) -> TVResult:
+def tv_distance(fv: np.ndarray, gv: np.ndarray, xs: np.ndarray) -> TVResult:
     """Total variation distance (half the L1 gap) after renormalizing both.
 
-    ``f`` and ``g`` are GridDensity objects, callables, or value arrays
-    already evaluated on the grid nodes.  ``grid`` is a ``(lo, hi, step)``
-    triple or an array of nodes; it may be omitted when both inputs are
-    GridDensity objects with identical layout.
+    ``fv`` and ``gv`` are density values on the nodes ``xs``; integrals use the trapezoid rule.
     """
-    if grid is None:
-        if (
-            isinstance(f, GridDensity)
-            and isinstance(g, GridDensity)
-            and f.lo == g.lo
-            and f.step == g.step
-            and len(f.values) == len(g.values)
-        ):
-            xs = f.x()
-        else:
-            raise DomainError("grid required unless both inputs share a grid layout")
-    elif isinstance(grid, tuple):
-        lo, hi, step = grid
-        xs = np.arange(lo, hi + 0.5 * step, step)
-    else:
-        xs = np.asarray(grid, dtype=float)
-    fv = _values_on(f, xs)
-    gv = _values_on(g, xs)
+    fv, gv, xs = (np.asarray(v, dtype=float) for v in (fv, gv, xs))
+    if fv.shape != xs.shape or gv.shape != xs.shape:
+        raise DomainError("value arrays must lie on the grid nodes")
     mf = np.trapezoid(fv, xs)
     mg = np.trapezoid(gv, xs)
     if not (mf > 0 and mg > 0):
@@ -661,7 +560,7 @@ def tv_histogram(samples: np.ndarray, density, lo: float, hi: float, bins: int) 
     p_hat = counts / inside
     fine = 8
     xs = np.linspace(lo, hi, bins * fine + 1)
-    vals = _values_on(density, xs)
+    vals = np.asarray(density(xs), dtype=float)
     cell_mass = np.add.reduceat(
         0.5 * (vals[1:] + vals[:-1]) * np.diff(xs), np.arange(0, bins * fine, fine)
     )

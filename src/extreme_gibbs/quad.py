@@ -41,7 +41,7 @@ def _logsumexp(values: np.ndarray) -> float:
         return -np.inf
     top = np.max(values)
     if not np.isfinite(top):
-        return float(top) if top == -np.inf else float(top)
+        return float(top)
     return float(top + np.log(np.sum(np.exp(values - top))))
 
 

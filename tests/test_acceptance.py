@@ -28,11 +28,11 @@ from extreme_gibbs.gibbs import (
 )
 from extreme_gibbs.oracle import (
     ConditionalOracle,
+    ConvolutionTable,
     discretize,
     get_oracle,
     ks_statistic,
     mc_conditional_sample,
-    self_convolve,
     tv_distance,
     tv_from_values,
     tv_histogram,
@@ -131,11 +131,7 @@ def test_criterion_06_moderate_gibbs_tv_decay(weibull2):
             orc = get_oracle(weibull2, n, 3.0)
             ys = orc.default_ygrid()
             tvs.append(
-                tv_distance(
-                    lambda y: orc.conditional_curve(y),
-                    lambda y: tilted_approx(weibull2, n, 3.0, y, tp=orc.tp),
-                    grid=ys,
-                ).tv
+                tv_distance(orc.conditional_curve(ys), tilted_approx(weibull2, n, 3.0, ys, tp=orc.tp), ys).tv
             )
         assert all(b < a for a, b in zip(tvs, tvs[1:])), f"TV not decreasing: {tvs}"
         assert tvs[-1] <= tvs[0] / 2.0
@@ -149,23 +145,15 @@ def test_criterion_07_fast_regime(weibull2):
         orc = get_oracle(weibull2, 32, a_n)
         ys = orc.default_ygrid()
         params = fast_growth_params(weibull2, 32, a_n, tp=orc.tp)
-        tv_mod = tv_distance(
-            lambda y: orc.conditional_curve(y),
-            lambda y: fast_growth_approx(params, weibull2, y),
-            grid=ys,
-        ).tv
-        tv_til = tv_distance(
-            lambda y: orc.conditional_curve(y),
-            lambda y: tilted_approx(weibull2, 32, a_n, y, tp=orc.tp),
-            grid=ys,
-        ).tv
+        exact = orc.conditional_curve(ys)
+        tv_mod = tv_distance(exact, fast_growth_approx(params, weibull2, ys), ys).tv
+        tv_til = tv_distance(exact, tilted_approx(weibull2, 32, a_n, ys, tp=orc.tp), ys).tv
         assert tv_mod <= tv_til + 0.01
 
         params64 = fast_growth_params(weibull2, 64, 2.0)
+        xs = np.arange(0.0, 6.0 + 0.5e-3, 1e-3)
         consistency = tv_distance(
-            lambda y: fast_growth_approx(params64, weibull2, y),
-            lambda y: tilted_approx(weibull2, 64, 2.0, y),
-            grid=(0.0, 6.0, 1e-3),
+            fast_growth_approx(params64, weibull2, xs), tilted_approx(weibull2, 64, 2.0, xs), xs
         ).tv
         assert consistency < 0.05
     _report(
@@ -209,11 +197,7 @@ def test_criterion_10_exceedance_mixture(weibull2):
             orc = get_oracle(weibull2, n, 2.0)
             mix = ExceedanceMixture(weibull2, n, 2.0)
             ys = orc.default_ygrid()
-            tvs.append(
-                tv_distance(
-                    lambda y: orc.exceedance_curve(y), lambda y: mix.density(y), grid=ys
-                ).tv
-            )
+            tvs.append(tv_distance(orc.exceedance_curve(ys), mix.density(ys), ys).tv)
         assert all(b < a for a, b in zip(tvs, tvs[1:])), f"exceedance TV not decreasing: {tvs}"
         lp1, lp2 = window_tail_masses(weibull2, 64, 2.0)
         mass_ratio = math.exp(lp2 - lp1)
@@ -282,9 +266,9 @@ def test_criterion_13_general_mean_statistic(weibull2):
             with np.errstate(over="ignore"):
                 return np.exp(lam * arr - arr - tp_f.log_phi)
 
-        base = discretize(tilted_push, y_lo, y_hi, 1e-3)
-        f31 = self_convolve(base, 31)
-        f32 = self_convolve(base, 32)
+        table = ConvolutionTable(discretize(tilted_push, y_lo, y_hi, 1e-3))
+        f31 = table.power(31)
+        f32 = table.power(32)
         target = 32 * a_n
 
         def exact_x_conditional(x):
@@ -294,7 +278,8 @@ def test_criterion_13_general_mean_statistic(weibull2):
             full = f32.interp(np.asarray([target]))[0]
             return np.exp(logs) * rest / full
 
-        res = tv_distance(exact_x_conditional, lambda x: f_tilted_approx(weibull2, square, 32, a_n, x), grid=(0.0, 8.0, 1e-3))
+        xs = np.arange(0.0, 8.0 + 0.5e-3, 1e-3)
+        res = tv_distance(exact_x_conditional(xs), f_tilted_approx(weibull2, square, 32, a_n, xs), xs)
         assert res.tv < 0.1
     _report(
         "criterion 13 (general mean statistic)",

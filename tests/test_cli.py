@@ -40,6 +40,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid.step"):
             ExperimentConfig.from_text("grid.step = tiny\n")
 
+    @pytest.mark.parametrize("key", ["seed", "threads", "joint_k"])
+    @pytest.mark.parametrize("value", ["nan", "1e400", "-inf", "2.5"])
+    def test_integer_field_rejects_non_integers(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("key", ["seed", "threads", "joint_k"])
+    def test_integer_field_accepts_integral_float(self, key):
+        assert getattr(ExperimentConfig.from_text(f"{key} = 2.0\n"), key) == 2
+
     def test_a_rules(self):
         assert ARule.parse("3.5") == ARule("fixed", value=3.5)
         assert ARule.parse("fixed:2") == ARule("fixed", value=2.0)
@@ -169,6 +179,13 @@ class TestCliCommands:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: model spec field 'k' must be a number, got 'abc'"
+        ]
+
+    def test_bad_tol_value_exits_with_one_line(self, tmp_path, capsys):
+        code = main(["validate", "--tol", "foo=abc", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: value for 'tol.foo' is not a number: 'abc'"
         ]
 
     def test_gibbs_reproducible_byte_identical(self, tmp_path):

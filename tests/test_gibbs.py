@@ -92,27 +92,19 @@ class TestFastGrowth:
     def test_moderate_consistency_with_tilted(self, weibull2):
         # at n = 64, a = 2 the modulated and plain tilted densities are close
         params = fast_growth_params(weibull2, 64, 2.0)
-        grid = (0.0, 6.0, 1e-3)
-        res = tv_distance(
-            lambda y: fast_growth_approx(params, weibull2, y),
-            lambda y: tilted_approx(weibull2, 64, 2.0, y),
-            grid=grid,
-        )
+        ys = np.arange(0.0, 6.0 + 0.5e-3, 1e-3)
+        res = tv_distance(fast_growth_approx(params, weibull2, ys), tilted_approx(weibull2, 64, 2.0, ys), ys)
         assert res.tv < 0.05
 
     def test_modulation_fades_as_n_grows(self, weibull2):
         # at fixed level the two approximations merge as the rows lengthen
         tp = solve_tilt(weibull2, 2.0)
-        grid = (0.0, 6.0, 1e-3)
+        ys = np.arange(0.0, 6.0 + 0.5e-3, 1e-3)
         tvs = []
         for n in (8, 16, 32, 64):
             params = fast_growth_params(weibull2, n, 2.0, tp=tp)
             tvs.append(
-                tv_distance(
-                    lambda y: fast_growth_approx(params, weibull2, y),
-                    lambda y: tilted_approx(weibull2, n, 2.0, y, tp=tp),
-                    grid=grid,
-                ).tv
+                tv_distance(fast_growth_approx(params, weibull2, ys), tilted_approx(weibull2, n, 2.0, ys, tp=tp), ys).tv
             )
         assert all(b < a for a, b in zip(tvs, tvs[1:]))
 
@@ -122,16 +114,9 @@ class TestFastGrowth:
         orc = get_oracle(weibull2, 32, a_n)
         ys = orc.default_ygrid()
         params = fast_growth_params(weibull2, 32, a_n, tp=orc.tp)
-        tv_mod = tv_distance(
-            lambda y: orc.conditional_curve(y),
-            lambda y: fast_growth_approx(params, weibull2, y),
-            grid=ys,
-        ).tv
-        tv_til = tv_distance(
-            lambda y: orc.conditional_curve(y),
-            lambda y: tilted_approx(weibull2, 32, a_n, y, tp=orc.tp),
-            grid=ys,
-        ).tv
+        exact = orc.conditional_curve(ys)
+        tv_mod = tv_distance(exact, fast_growth_approx(params, weibull2, ys), ys).tv
+        tv_til = tv_distance(exact, tilted_approx(weibull2, 32, a_n, ys, tp=orc.tp), ys).tv
         assert tv_mod <= tv_til + 0.01
 
 
@@ -232,13 +217,7 @@ class TestJointBlocks:
         for n in (8, 16, 32, 64):
             orc = get_oracle(exp_exp, n, 3.0)
             ys = orc.default_ygrid()
-            tvs.append(
-                tv_distance(
-                    lambda y: orc.conditional_curve(y),
-                    lambda y: tilted_approx(exp_exp, n, 3.0, y, tp=orc.tp),
-                    grid=ys,
-                ).tv
-            )
+            tvs.append(tv_distance(orc.conditional_curve(ys), tilted_approx(exp_exp, n, 3.0, ys, tp=orc.tp), ys).tv)
         assert all(b < a for a, b in zip(tvs, tvs[1:]))
 
 

@@ -3,6 +3,7 @@
 import copy
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,14 +18,12 @@ from scipy.stats import norm
 from extreme_gibbs.errors import DomainError, NumericError, RangeError, ResourceError
 from extreme_gibbs.oracle import (
     ConditionalOracle,
+    ConvolutionTable,
     GridDensity,
     discretize,
-    exact_conditional,
-    exact_exceedance_conditional,
     get_oracle,
     ks_statistic,
     mc_conditional_sample,
-    self_convolve,
     tv_distance,
     tv_from_values,
     tv_histogram,
@@ -59,12 +58,12 @@ class TestDiscretize:
 class TestSelfConvolve:
     def test_identity(self, half_gauss):
         grid = discretize(half_gauss, 0.0, 12.0, 1e-3)
-        assert self_convolve(grid, 1) is grid
+        assert ConvolutionTable(grid).power(1) is grid
 
     def test_two_fold_closed_form(self, half_gauss):
         # density of X1 + X2 is (2/sqrt(pi)) erf(s/2) exp(-s^2/4)
         grid = discretize(half_gauss, 0.0, 12.0, 1e-3)
-        c2 = self_convolve(grid, 2)
+        c2 = ConvolutionTable(grid).power(2)
         xs = np.arange(0.25, 10.0, 0.25)
         closed = (2.0 / math.sqrt(math.pi)) * erf(xs / 2.0) * np.exp(-(xs**2) / 4.0)
         assert float(np.max(np.abs(c2.interp(xs) - closed))) < 1e-6
@@ -72,7 +71,7 @@ class TestSelfConvolve:
     def test_moment_linearity(self, weibull2):
         grid = discretize(weibull2, 0.0, 9.0, 1e-3)
         for n in (6, 64):
-            cn = self_convolve(grid, n)
+            cn = ConvolutionTable(grid).power(n)
             assert cn.mean() == pytest.approx(n * grid.mean(), rel=1e-4)
             assert cn.var() == pytest.approx(n * grid.var(), rel=1e-4)
 
@@ -94,14 +93,14 @@ class TestExactConditional:
         )
         for y in (2.0, 3.0, 3.7):
             direct = weibull2.density(y) * weibull2.density(2 * a - y) / f2
-            assert exact_conditional(weibull2, 2, a, [y]) == pytest.approx(direct, rel=1e-4)
+            got = get_oracle(weibull2, 2, a).conditional_curve(np.array([y]))[0]
+            assert got == pytest.approx(direct, rel=1e-4)
 
     def test_exchangeability_symmetry(self, weibull2):
         orc = get_oracle(weibull2, 2, 3.0)
         for y in (2.2, 2.8, 3.4):
-            assert orc.conditional_density([y]) == pytest.approx(
-                orc.conditional_density([6.0 - y]), rel=1e-6
-            )
+            got, mirror = orc.conditional_curve(np.array([y, 6.0 - y]))
+            assert got == pytest.approx(mirror, rel=1e-6)
 
     def test_unit_mass(self, weibull2):
         orc = get_oracle(weibull2, 16, 3.0)
@@ -121,11 +120,7 @@ class TestExactConditional:
 
     def test_far_argument_gives_zero(self, weibull2):
         orc = get_oracle(weibull2, 8, 3.0)
-        assert orc.conditional_density([23.9]) == 0.0
-
-    def test_block_limit(self, weibull2):
-        with pytest.raises(DomainError):
-            exact_conditional(weibull2, 16, 3.0, [3.0, 3.0, 3.0, 3.0])
+        assert orc.conditional_curve(np.array([23.9]))[0] == 0.0
 
     def test_joint2_marginalizes_to_k1(self, weibull2):
         orc = get_oracle(weibull2, 16, 3.0)
@@ -245,7 +240,7 @@ class TestExceedanceConditional:
         assert np.trapezoid(orc.exceedance_curve(ys), ys) == pytest.approx(1.0, abs=1e-5)
 
     def test_far_argument_gives_zero(self, weibull2):
-        assert exact_exceedance_conditional(weibull2, 8, 3.0, 30.0) == 0.0
+        assert get_oracle(weibull2, 8, 3.0).exceedance_curve(np.array([30.0]))[0] == 0.0
 
     def test_low_level_recovers_unconditional(self, weibull2):
         # conditioning on an almost-sure event changes nothing
@@ -290,6 +285,10 @@ class TestMonteCarlo:
         assert tilted.acceptance_rate > 0.1
         assert raw.acceptance_rate == 0.0
 
+    def test_unknown_proposal_rejected(self, weibull2):
+        with pytest.raises(DomainError, match="proposal"):
+            mc_conditional_sample(weibull2, 8, 3.0, 0.3, 1000, seed=1, proposal="tilded")
+
     def test_wide_window_recovers_tilted_density(self, weibull2):
         tp = solve_tilt(weibull2, 3.0)
         mc = mc_conditional_sample(weibull2, 8, 3.0, np.inf, 100_000, seed=9)
@@ -303,39 +302,42 @@ class TestMonteCarlo:
         with pytest.raises(NumericError, match="enlarge epsilon"):
             mc_conditional_sample(weibull2, 64, 3.0, 1e-9, 50000, seed=0)
 
-    def test_sample_dump_csv(self, weibull2, tmp_path):
-        mc = mc_conditional_sample(weibull2, 8, 3.0, 0.3, 500, seed=2)
-        path = tmp_path / "draws.csv"
-        mc.dump_csv(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "draw_index,x1,accepted"
-        assert len(lines) == 501
+    def test_memory_does_not_grow_with_proposals(self, weibull2):
+        # only accepted draws are kept; a batch of proposals is freed once
+        # its accepted rows are copied out
+        eps = solve_tilt(weibull2, 3.0).s / (2 * math.sqrt(32))
+        peaks = []
+        for n_draws in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                mc_conditional_sample(weibull2, 32, 3.0, eps, n_draws, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 class TestDistances:
     def test_self_distance_is_zero(self, half_gauss):
         grid = discretize(half_gauss, 0.0, 12.0, 1e-3)
-        assert tv_distance(grid, grid).tv == 0.0
+        assert tv_distance(grid.values, grid.values, grid.x()).tv == 0.0
 
     def test_disjoint_supports(self):
-        res = tv_distance(
-            lambda x: np.where(x < 1.0, 1.0, 0.0),
-            lambda x: np.where(x >= 2.0, 1.0, 0.0),
-            grid=(0.0, 3.0, 1e-3),
-        )
+        xs = np.arange(0.0, 3.0 + 0.5e-3, 1e-3)
+        res = tv_distance(np.where(xs < 1.0, 1.0, 0.0), np.where(xs >= 2.0, 1.0, 0.0), xs)
         assert res.tv == pytest.approx(1.0, abs=1e-3)
 
     def test_shifted_normals_closed_form(self):
-        res = tv_distance(
-            lambda x: norm.pdf(x), lambda x: norm.pdf(x, loc=0.1), grid=(-8.0, 8.1, 1e-3)
-        )
+        xs = np.arange(-8.0, 8.1 + 0.5e-3, 1e-3)
+        res = tv_distance(norm.pdf(xs), norm.pdf(xs, loc=0.1), xs)
         assert res.tv == pytest.approx(2.0 * norm.cdf(0.05) - 1.0, abs=2e-4)
 
     @given(st.floats(min_value=0.05, max_value=2.0))
     def test_symmetry_and_range(self, shift):
-        grid = (-10.0, 10.0 + shift, 0.01)
-        a = tv_distance(lambda x: norm.pdf(x), lambda x: norm.pdf(x, loc=shift), grid=grid)
-        b = tv_distance(lambda x: norm.pdf(x, loc=shift), lambda x: norm.pdf(x), grid=grid)
+        xs = np.arange(-10.0, 10.0 + shift + 0.5 * 0.01, 0.01)
+        f, g = norm.pdf(xs), norm.pdf(xs, loc=shift)
+        a = tv_distance(f, g, xs)
+        b = tv_distance(g, f, xs)
         assert a.tv == pytest.approx(b.tv, abs=1e-12)
         assert 0.0 <= a.tv <= 1.0
 
@@ -350,16 +352,13 @@ class TestDistances:
         assert ks_statistic(x, norm.cdf) < 0.02
         assert ks_statistic(x + 1.0, norm.cdf) > 0.3
 
+    def test_values_off_the_grid_rejected(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DomainError):
+            tv_distance(np.ones(11), np.ones(10), xs)
+
 
 class TestGridDensityIO:
-    def test_csv_roundtrip(self, half_gauss, tmp_path):
-        grid = discretize(half_gauss, 0.0, 6.0, 1e-2)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(str(path))
-        back = GridDensity.from_csv(str(path))
-        np.testing.assert_array_equal(back.values, grid.values)
-        assert back.lo == grid.lo and back.step == grid.step
-
     def test_layout_invariant(self):
         with pytest.raises(DomainError):
             GridDensity(0.0, 1.0, 0.3, np.ones(5), 1.0)
