@@ -152,6 +152,15 @@ class ExperimentConfig:
     joint_k: int = 0
     tol: tuple[tuple[str, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.joint_k not in (0, 2):
+            raise ConfigError(f"joint_k must be 0 or 2, got {self.joint_k!r}")
+        for name, val in self.tol:
+            if not (math.isfinite(val) and val >= 0.0):
+                raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {val!r}")
+
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
         cfg = ExperimentConfig()

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import quad
 from .errors import DomainError, NumericError, RegimeWarning
-from .model import DensityModel
+from .model import DensityModel, _invert_slope
 from .tilt import TiltParams, log_tilted_density, solve_tilt, solve_tilt_cached
 
 __all__ = [
@@ -147,10 +147,20 @@ def _modulated_params(
     def log_f(y):
         return _log_modulated(model, mu, beta, y, f)
 
-    # a_n and s are on the scale of f(X); they locate the peak in y only for the identity
-    x0, hint = (float(a_n), tp.s) if f is None else (None, 1.0)
-    xhat, sigma = quad.find_peak(log_f, lo=model.support_lo, x0=x0, scale_hint=hint)
-    res = quad.log_integral(log_f, center=xhat, scale=sigma, lo=model.support_lo)
+    peak = None
+    if f is None:
+        # root of h(y) + (y - mu)/beta = 0, width 1/sqrt(h'(y) + 1/beta); q is ignored, as for the tilt
+        try:
+            yhat = _invert_slope(lambda y: model.h(y) + (y - mu) / beta, 0.0, model.support_lo, model.h_zero)
+            curv = float(model.h_prime(yhat)) + 1.0 / beta
+            if 0.0 < curv < math.inf:
+                peak = yhat, 1.0 / math.sqrt(curv)
+        except (DomainError, NumericError):
+            pass
+    if peak is None:  # no interior root (a peak on the boundary), or a statistic f
+        x0, hint = (float(a_n), tp.s) if f is None else (None, 1.0)
+        peak = quad.find_peak(log_f, lo=model.support_lo, x0=x0, scale_hint=hint)
+    res = quad.log_integral(log_f, center=peak[0], scale=peak[1], lo=model.support_lo)
     if not np.isfinite(res.log_value):
         raise NumericError("normalization integral of the modulated density failed")
     return FastGrowthParams(

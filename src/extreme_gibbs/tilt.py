@@ -10,7 +10,8 @@ here is computed by saddle-centered quadrature in log space:
   no matter how large t gets.
 * ``tilt_moments`` extracts the tilted mean, variance and third centered
   moment from the same node set rather than by differencing ``log Phi``,
-  which would amplify quadrature noise.
+  which would amplify quadrature noise.  Its psi fields reuse the one slope
+  inversion that centres the quadrature.
 * ``solve_tilt`` inverts the mean function m(t) = a with a safeguarded
   Newton iteration started at ``t0 = h(a)`` (the asymptotically exact
   inverse) and a geometric bracket fallback.
@@ -82,7 +83,9 @@ class TiltParams:
         return self.mu3 / s3
 
 
-def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12, f=None) -> quad.LogQuad:
+def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12, f=None):
+    """Quadrature of e^(t f(x)) p(x), and psi, psi', psi'' at its centre (NaN if undefined)."""
+
     def log_f(x):
         arr = np.asarray(x, dtype=float)
         stat = arr if f is None else np.asarray(f(arr), dtype=float)
@@ -90,34 +93,28 @@ def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12, f=None) -> 
 
     # the inverse slope locates the peak of e^(t x) p(x) only for the identity
     center = scale = None
+    psi = (math.nan,) * 3
     if f is None and t >= model.h_min:
         try:
             xhat = model.psi(t)
             hp = float(model.h_prime(xhat))
-            if np.isfinite(xhat) and hp > 0:
+            if hp > 0:
                 center, scale = xhat, 1.0 / math.sqrt(hp)
+                d1 = 1.0 / hp
+                psi = (xhat, d1, -float(model.h_second(xhat)) * d1**3)
         except (DomainError, NumericError):
-            center = None
+            pass
     if center is None:
         center, scale = quad.find_peak(log_f, lo=model.support_lo, scale_hint=1.0)
     res = quad.log_integral(log_f, center=center, scale=scale, lo=model.support_lo, rel_tol=rel_tol)
     if not np.isfinite(res.log_value):
         raise NumericError(f"mgf integral did not evaluate at t={t!r}")
-    return res
+    return res, psi
 
 
 def log_mgf(model: DensityModel, t: float) -> float:
     """log E[e^(t X)] by saddle-centered quadrature."""
-    return _mgf_quad(model, float(t)).log_value
-
-
-def _psi_triplet(model: DensityModel, t: float) -> tuple[float, float, float]:
-    if t >= model.h_min:
-        try:
-            return model.psi(t), model.psi_d1(t), model.psi_d2(t)
-        except (DomainError, NumericError):
-            pass
-    return math.nan, math.nan, math.nan
+    return _mgf_quad(model, float(t))[0].log_value
 
 
 def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
@@ -129,7 +126,7 @@ def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     the moments of f(X) under the f-tilt, taken from f at the same nodes.
     """
     t = float(t)
-    res = _mgf_quad(model, t, f=f)
+    res, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f=f)
     p = np.exp(res.log_terms - res.log_value)
     if f is None:
         u, shift, unit = res.offsets, res.center, res.scale
@@ -144,7 +141,6 @@ def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     mu3 = unit**3 * mu3_u
     if not (s2 > 0):
         raise NumericError(f"tilted variance not positive at t={t!r}")
-    psi_val, psi_d1, psi_d2 = _psi_triplet(model, t) if f is None else (math.nan,) * 3
     return TiltParams(
         t=t,
         a=mean,

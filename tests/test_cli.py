@@ -188,6 +188,32 @@ class TestCliCommands:
             "config error: value for 'tol.foo' is not a number: 'abc'"
         ]
 
+    def test_negative_seed_exits_with_one_line(self, tmp_path, capsys):
+        code = main(["validate", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: seed must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("source", ["cli", "file"])
+    def test_nan_tolerance_exits_with_one_line(self, tmp_path, capsys, source):
+        if source == "cli":
+            argv = ["validate", "--tol", "normalization_weibull2=nan"]
+        else:
+            cfg = tmp_path / "nan.cfg"
+            cfg.write_text("tol.normalization_weibull2 = nan\n")
+            argv = ["validate", "--config", str(cfg)]
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: tolerance 'normalization_weibull2' must be finite and >= 0, got nan"
+        ]
+        assert not (tmp_path / "validate.json").exists()
+
+    def test_unsupported_joint_k_exits_with_one_line(self, tmp_path, capsys):
+        code = main(["gibbs", "--joint-k", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: joint_k must be 0 or 2, got 3"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_gibbs_reproducible_byte_identical(self, tmp_path):
         args = [
             "gibbs",

@@ -8,6 +8,7 @@ from dataclasses import replace
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extreme_gibbs import quad
 from extreme_gibbs.errors import DomainError, RegimeWarning
 from extreme_gibbs.gibbs import (
     classify_regime,
@@ -17,12 +18,14 @@ from extreme_gibbs.gibbs import (
     identity,
     joint_fast_approx,
     joint_moderate_approx,
+    log_fast_growth,
     tilted_approx,
     variance_power_fit,
     z_statistics,
 )
+from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull
 from extreme_gibbs.oracle import get_oracle, tv_distance
-from extreme_gibbs.quad import log_integral
+from extreme_gibbs.quad import find_peak, log_integral
 from extreme_gibbs.tilt import solve_tilt, tilt_moments, tilted_density
 
 
@@ -118,6 +121,69 @@ class TestFastGrowth:
         tv_mod = tv_distance(exact, fast_growth_approx(params, weibull2, ys), ys).tv
         tv_til = tv_distance(exact, tilted_approx(weibull2, 32, a_n, ys, tp=orc.tp), ys).tv
         assert tv_mod <= tv_til + 0.01
+
+
+def _log_modulated_ref(model, mu, var, stat):
+    """log of p(y) N(mu, var)(stat(y)), written out independently of gibbs."""
+
+    def log_f(y):
+        y = np.asarray(y, dtype=float)
+        z = stat(y)
+        log_normal = -0.5 * (math.log(2.0 * math.pi) + math.log(var)) - (z - mu) ** 2 / (2.0 * var)
+        return model._log_density_clipped(y) + log_normal
+
+    return log_f
+
+
+# (model, fast-growth (n, a_n) levels, relative tolerance on logC against the
+# find_peak-centred normalizer, floor of the unit-mass check)
+_SADDLE_CASES = [
+    (make_weibull(2.0), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
+    (make_weibull(4.0), [(16, 3.0), (128, 5.0), (1024, 9.0)], 1e-14, 1e-12),
+    (make_exp_exponential(), [(16, 3.0), (128, 4.0), (1024, 6.0)], 1e-14, 1e-12),
+    (make_half_gaussian(), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
+    # p(y) ~ y^0.5 at 0 is not smooth there: the two centrings differ by about 2e-10, and
+    # Gauss-Legendre panels miss about 3e-8 of the mass at a_n = 3 with either centring
+    (make_weibull(1.5), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-9, 1e-7),
+]
+
+
+@pytest.mark.parametrize("model,levels,rel,floor", _SADDLE_CASES, ids=[c[0].name for c in _SADDLE_CASES])
+class TestModulatedSaddle:
+    """The modulated normalizer is centred at the root of h(y) + (y - mu)/beta = 0."""
+
+    def test_no_peak_search_with_a_given_tilt(self, model, levels, rel, floor, monkeypatch):
+        tps = [(n, a, solve_tilt(model, a)) for n, a in levels]
+        calls = []
+        real = quad.find_peak
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "find_peak", counting)
+        for n, a, tp in tps:
+            fast_growth_params(model, n, a, tp=tp)
+        assert calls == []
+
+    def test_log_c_matches_peak_search_reference(self, model, levels, rel, floor):
+        for n, a in levels:
+            tp = solve_tilt(model, a)
+            assert classify_regime(model, n, a).kind == "fast"
+            fp = fast_growth_params(model, n, a, tp=tp)
+            log_f = _log_modulated_ref(model, fp.alpha * fp.beta + a, fp.beta, lambda y: y)
+            xhat, sigma = find_peak(log_f, lo=model.support_lo, x0=a, scale_hint=tp.s)
+            ref = -log_integral(log_f, center=xhat, scale=sigma, lo=model.support_lo).log_value
+            assert abs(fp.logC - ref) <= rel * abs(ref), (n, a, fp.logC, ref)
+
+    def test_unit_mass(self, model, levels, rel, floor):
+        for n, a in levels:
+            fp = fast_growth_params(model, n, a)
+            res = log_integral(
+                lambda y: log_fast_growth(fp, model, y), center=a, scale=fp.tp.s, lo=model.support_lo
+            )
+            # the exponent is formed in absolute terms, so it carries a rounding of a few eps * |logC|
+            assert abs(res.log_value) <= floor + 4.0 * np.finfo(float).eps * abs(fp.logC), (n, a)
 
 
 class TestJointBlocks:
@@ -271,6 +337,20 @@ class TestFMean:
         for f in (None, identity, lambda x: x * x):
             with pytest.raises(DomainError):
                 f_tilted_approx(weibull2, f, 16, 3.0, 2.9, variant="bogus")
+
+    def test_square_statistic_modulated_keeps_the_peak_search(self, weibull2):
+        # a statistic f other than the identity is still centred by find_peak, bit for bit
+        sq = lambda x: x * x  # noqa: E731
+        n, a_n = 32, 3.0
+        xs = np.linspace(0.0, 4.0, 41)
+        tp = solve_tilt(weibull2, a_n, f=sq)
+        alpha = tp.t + tp.mu3 / (2.0 * (n - 1) * tp.s2)
+        beta = (n - 1) * tp.s2
+        log_f = _log_modulated_ref(weibull2, alpha * beta + a_n, beta, sq)
+        xhat, sigma = find_peak(log_f, lo=weibull2.support_lo, scale_hint=1.0)
+        log_c = -log_integral(log_f, center=xhat, scale=sigma, lo=weibull2.support_lo).log_value
+        got = f_tilted_approx(weibull2, sq, n, a_n, xs, variant="gaussian_modulated")
+        assert np.array_equal(got, np.exp(log_f(xs) + log_c))
 
     def test_modulated_variant_is_normalized(self, weibull2):
         xs = np.arange(0.0, 12.0, 1e-3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from extreme_gibbs.errors import DomainError, NumericError
+from extreme_gibbs.model import DensityModel, make_exp_exponential, make_half_gaussian, make_weibull
 from extreme_gibbs.quad import log_integral
 from extreme_gibbs.tilt import (
     TiltParams,
@@ -77,6 +78,36 @@ class TestTiltMoments:
                 dt = 1e-3 * max(1.0, abs(t))
                 dm = (tilt_moments(model, t + dt).a - tilt_moments(model, t - dt).a) / (2 * dt)
                 assert tilt_moments(model, t).s2 == pytest.approx(dm, rel=1e-5)
+
+
+# every built-in model on a t grid that reaches below h_min where h_min is finite
+_PSI_GRIDS = [
+    *((make_weibull(k), (-5.0, -0.5, 0.0, 0.5, 3.0, 30.0, 300.0)) for k in (1.5, 2.0, 4.0, 10.0)),
+    (make_exp_exponential(), (-1.0, 0.0, 0.2, math.exp(-1.0), 0.5, 3.0, 30.0, 300.0)),
+    (make_half_gaussian(), (-2.0, -0.5, 0.0, 0.5, 5.0, 50.0)),
+]
+
+
+@pytest.mark.parametrize("model,ts", _PSI_GRIDS, ids=[g[0].name for g in _PSI_GRIDS])
+def test_psi_fields_are_the_model_inverse_from_one_inversion(model, ts, monkeypatch):
+    real_psi = DensityModel.psi
+    for t in ts:
+        try:
+            want = (model.psi(t), model.psi_d1(t), model.psi_d2(t))
+        except (DomainError, NumericError):
+            want = (math.nan,) * 3
+        calls = []
+
+        def counting(self, t):
+            calls.append(t)
+            return real_psi(self, t)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(DensityModel, "psi", counting)
+            tp = tilt_moments(model, t)
+        # bitwise: hex tells -0.0 from 0.0 and keeps every bit of the mantissa
+        assert [float(v).hex() for v in (tp.psi_val, tp.psi_d1, tp.psi_d2)] == [float(v).hex() for v in want], t
+        assert len(calls) == (1 if t >= model.h_min else 0), t
 
 
 class TestSolveTilt:
