@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import log_ndtr
 
 from . import quad
 from .errors import ConfigError, DomainError, NumericError
@@ -47,6 +45,19 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _log_ndtr(t: float) -> float:
+    """log Phi(t) for the standard normal cdf, accurate to about 1e-13 relative."""
+    if t > 0.0:
+        return math.log1p(-0.5 * math.erfc(t / math.sqrt(2.0)))
+    if t > -20.0:
+        return math.log(0.5 * math.erfc(-t / math.sqrt(2.0)))
+    # asymptotic series: Phi(t) = phi(t)/|t| * (1 - 1/t^2 + 3/t^4 - 15/t^6 + ...)
+    terms = [1.0]
+    while abs(terms[-1]) > 1e-17:
+        terms.append(-terms[-1] * (2 * len(terms) - 1) / (t * t))
+    return -0.5 * t * t - math.log(-t) - 0.5 * _LOG_2PI + math.log(math.fsum(terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,12 +274,12 @@ def make_half_gaussian() -> DensityModel:
     """
 
     def log_mgf(t):
-        return math.log(2.0) + 0.5 * t * t + float(log_ndtr(t))
+        return math.log(2.0) + 0.5 * t * t + _log_ndtr(t)
 
     def _mills(t):
         # phi(t) / Phi(t), computed in logs to survive large |t|
         log_phi = -0.5 * t * t - 0.5 * _LOG_2PI
-        return math.exp(log_phi - float(log_ndtr(t)))
+        return math.exp(log_phi - _log_ndtr(t))
 
     def mean(t):
         return t + _mills(t)
@@ -329,8 +340,7 @@ def _invert_slope(h: Callable, t: float, lo: float, h_zero: float) -> float:
         x_lo = nxt
     if not (h(x_lo) <= t <= h(x_hi)):
         raise NumericError(f"h(x)={t} not bracketable in ({x_lo}, {x_hi})")
-    root = brentq(lambda x: h(x) - t, x_lo, x_hi, rtol=1e-14, maxiter=300)
-    return float(root)
+    return quad._brentq(lambda x: h(x) - t, x_lo, x_hi, rtol=1e-14, maxiter=300)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +479,8 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
                 x_hi *= 2.0
                 if float(np.asarray(h(x_hi))) > 0.0:
                     break
-            h_zero = float(brentq(lambda x: float(np.asarray(h(x))), probe, x_hi))
-    except (ValueError, FloatingPointError):
+            h_zero = quad._brentq(lambda x: float(np.asarray(h(x))), probe, x_hi)
+    except (NumericError, FloatingPointError):
         h_zero = support_lo
 
     if "h_min" in fields:

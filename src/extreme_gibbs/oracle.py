@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import DomainError, NumericError, RangeError, ResourceError
 from .model import DensityModel
@@ -160,6 +159,12 @@ def discretize(source, lo: float, hi: float, step: float, clipped_mass: float | 
     return g.normalized()
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: a length pocketfft transforms quickly."""
+    odd = (3**j * 5**k for j in range(n.bit_length()) for k in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
 def _convolve_pair(a: GridDensity, b: GridDensity) -> GridDensity:
     if abs(a.step - b.step) > 1e-15 * max(a.step, b.step):
         raise DomainError("convolution requires identical grid steps")
@@ -174,8 +179,8 @@ def _convolve_pair(a: GridDensity, b: GridDensity) -> GridDensity:
     av[-1] *= 0.5
     bv[0] *= 0.5
     bv[-1] *= 0.5
-    nfft = next_fast_len(n_out, True)
-    vals = irfft(rfft(av, nfft) * rfft(bv, nfft), nfft)[:n_out] * a.step
+    nfft = _fast_len(n_out)
+    vals = np.fft.irfft(np.fft.rfft(av, nfft) * np.fft.rfft(bv, nfft), nfft)[:n_out] * a.step
     # zero everything under the round-off floor (negative noise included)
     # and drop the zero runs at both ends; lo moves by whole steps, so the
     # power stays on the base lattice

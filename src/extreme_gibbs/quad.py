@@ -15,10 +15,10 @@ covers sub-Gaussian and exponential tails alike at modest cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NumericError
 
@@ -213,14 +213,8 @@ def find_peak(
     else:
         raise NumericError("could not bracket the integrand peak")
 
-    res = minimize_scalar(
-        lambda x: -_scalar(log_f, x),
-        bounds=(xa, xb),
-        method="bounded",
-        options={"xatol": 1e-10 * max(1.0, abs(xb))},
-    )
-    xhat = float(res.x)
-    fhat = -float(res.fun)
+    xhat, fneg = _fminbound(lambda x: -_scalar(log_f, x), xa, xb, 1e-10 * max(1.0, abs(xb)))
+    xhat, fhat = float(xhat), -float(fneg)
     if not np.isfinite(fhat):
         raise NumericError("integrand peak is not finite")
 
@@ -257,3 +251,105 @@ def find_peak(
             return xhat, max((hi - left) / 8.0, 1e-12)
         raise NumericError("integrand has no measurable width around its peak")
     return xhat, min(widths)
+
+
+# Brent's scalar solvers (Brent 1973): line-for-line ports of scipy's brentq
+# (Zeros/brentq.c) and bounded minimize_scalar, bitwise equal to both
+
+
+def _brentq(f, xa: float, xb: float, xtol=2e-12, rtol=4 * 2.220446049250313e-16, maxiter=100) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]``."""
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericError(f"root-finder met f({x!r}) = nan")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(f"root-finder bracket [{xa!r}, {xb!r}] has the same sign at both ends")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NumericError(f"root-finder did not converge in {maxiter} iterations (last x = {xcur!r})")
+
+
+def _fminbound(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimum ``(xf, fx)`` of ``func`` on ``[a, b]`` by golden-section and parabolic steps."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx, num = func(xf), 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = not abs(e) > tol1
+        if not golden:  # parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter
+            break
+    return xf, fx

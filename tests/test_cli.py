@@ -296,19 +296,28 @@ class TestValidate:
         for check in summary["checks"]:
             assert set(check) == {"name", "passed", "measured", "tolerance"}
 
-    def test_suite_imports_neither_signal_nor_stats(self):
-        # each costs about 0.5 s of import time, and the suite needs neither
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # scipy's import costs about 0.6 s; the built-in models never need it
         script = (
             "import sys\n"
-            "from extreme_gibbs.cli import run_validation\n"
-            "from extreme_gibbs.config import ExperimentConfig\n"
-            "assert run_validation(ExperimentConfig())['passed']\n"
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+            "import extreme_gibbs.cli as cli\n"
+            "out = sys.argv[1]\n"
+            "runs = [\n"
+            "    ['tilt', '--model', 'weibull:k=4', '--a-grid', '2:1e4:20:log'],\n"
+            "    ['gibbs', '--n', '16,32', '--a', 'fixed:3', '--joint-k', '2'],\n"
+            "    ['exceed', '--n', '8,16', '--a', 'fixed:2'],\n"
+            "    ['validate'],\n"
+            "]\n"
+            "codes = [cli.main(run + ['--out', out + '/' + run[0]]) for run in runs]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy') and sys.modules[m] is not None))\n"
         )
         src = os.path.dirname(os.path.dirname(extreme_gibbs.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-        assert done.stdout.strip() == "[]"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[0, 0, 0, 0] []"
 
     def test_broken_tolerance_fails_and_names_check(self, tmp_path):
         code = main(

@@ -1,0 +1,135 @@
+"""The scipy-free numerics agree with the scipy routines they replace.
+
+``quad._brentq`` and ``quad._fminbound`` are line-for-line ports of scipy's
+``brentq`` and bounded ``minimize_scalar``; ``oracle._convolve_pair`` uses
+numpy's pocketfft at scipy's real-transform fast length; ``model._log_ndtr``
+is a stdlib log of the normal cdf.  The ports must give bitwise-equal
+numbers, and ``_log_ndtr`` must agree with ``scipy.special.log_ndtr`` to
+rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import fft as sp_fft
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import log_ndtr
+
+from extreme_gibbs import oracle, quad, tilt
+from extreme_gibbs.errors import NumericError
+from extreme_gibbs.model import _invert_slope, _log_ndtr, make_exp_exponential, make_weibull, model_from_spec
+
+T_GRID = np.geomspace(1e-3, 1e6, 400)
+
+
+def _scipy_brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    return float(brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_weibull(k) for k in (1.5, 2.0, 3.0, 4.0, 6.0, 10.0)] + [make_exp_exponential()],
+    ids=lambda m: m.name,
+)
+def test_invert_slope_is_bitwise_scipy_brentq(model, monkeypatch):
+    ts = [float(t) for t in T_GRID if t >= model.h_min]
+    port = [_invert_slope(model.h, t, model.support_lo, model.h_zero) for t in ts]
+    monkeypatch.setattr(quad, "_brentq", _scipy_brentq)
+    ref = [_invert_slope(model.h, t, model.support_lo, model.h_zero) for t in ts]
+    assert len(ts) > 250
+    assert port == ref
+
+
+def test_brentq_raises_numeric_error_on_same_sign_bracket():
+    with pytest.raises(NumericError, match="same sign"):
+        quad._brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+
+
+def test_brentq_raises_numeric_error_when_iterations_run_out():
+    with pytest.raises(NumericError, match="did not converge in 3 iterations"):
+        quad._brentq(lambda x: x**3 - 2.0, 0.0, 10.0, maxiter=3)
+
+
+def test_brentq_raises_numeric_error_on_nan():
+    with pytest.raises(NumericError, match="nan"):
+        quad._brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 2.0)
+
+
+def test_custom_model_h_zero_probe_survives_a_failed_root_find():
+    # h < 0 everywhere: the sign-change probe's bracket fails, and h_zero falls back to support_lo
+    model = model_from_spec("kind = custom\ng = x**2\nh = -1 + 0*x\nvariation = regular:1")
+    assert model.h_zero == 0.0
+    assert model.h_min == -1.0
+
+
+def test_fminbound_is_bitwise_scipy_at_find_peak_call_sites(monkeypatch):
+    weibull2, exp_exp = make_weibull(2.0), make_exp_exponential()
+    port = quad._fminbound
+    pairs = []
+
+    def compare(func, a, b, xatol):
+        got = port(func, a, b, xatol)
+        ref = minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
+        pairs.append((tuple(map(float, got)), (float(ref.x), float(ref.fun))))
+        return got
+
+    monkeypatch.setattr(quad, "_fminbound", compare)
+    # the statistic-f tilt (x^2 and log) and the t < h_min path centre by find_peak
+    for a in (0.5, 1.5, 3.0, 10.0, 100.0):
+        tilt.solve_tilt(weibull2, a, f=lambda x: x * x)
+    for a in (-0.5, 0.0, 1.0, 2.0):
+        tilt.solve_tilt(weibull2, a, f=np.log)
+    for t in (-5.0, -1.0, 0.0, 0.1, 0.3):
+        tilt.tilt_moments(exp_exp, t)
+    assert len(pairs) > 50
+    for got, ref in pairs:
+        assert all(math.isfinite(v) for v in got)
+        assert got == ref
+
+
+def test_fast_len_is_scipys_real_fast_length():
+    assert [oracle._fast_len(n) for n in range(1, 20000)] == [
+        sp_fft.next_fast_len(n, True) for n in range(1, 20000)
+    ]
+    for n in (253_001, 6_400_001, 40_000_000):
+        assert oracle._fast_len(n) == sp_fft.next_fast_len(n, True)
+
+
+def _bump(n: int, lo: float, step: float) -> oracle.GridDensity:
+    x = np.arange(n) / (n - 1)
+    values = np.exp(-0.5 * ((x - 0.4) / 0.08) ** 2) * (1.0 + x)
+    return oracle.GridDensity(lo, lo + step * (n - 1), step, values, 1.0)
+
+
+@pytest.mark.parametrize(
+    "na,nb", [(2, 2), (17, 1000), (4097, 4096), (12345, 6789), (60000, 60001), (126500, 126501)]
+)
+def test_convolve_pair_is_bitwise_scipy_fft(na, nb, monkeypatch):
+    a, b = _bump(na, 0.5, 1e-3), _bump(nb, 1.25, 1e-3)
+    got = oracle._convolve_pair(a, b)
+    monkeypatch.setattr(oracle, "_fast_len", lambda n: sp_fft.next_fast_len(n, True))
+    monkeypatch.setattr(oracle.np.fft, "rfft", sp_fft.rfft)
+    monkeypatch.setattr(oracle.np.fft, "irfft", sp_fft.irfft)
+    ref = oracle._convolve_pair(a, b)
+    assert (got.lo, got.hi, got.step) == (ref.lo, ref.hi, ref.step)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_log_ndtr_matches_scipy_to_rounding():
+    ts = np.concatenate(
+        [np.linspace(-40.0, 40.0, 16001), -np.geomspace(1e-6, 40.0, 500), np.geomspace(1e-6, 1e6, 2000)]
+    )
+    got = np.array([_log_ndtr(float(t)) for t in ts])
+    ref = log_ndtr(ts)
+    # relative error where log Phi is a normal float; beyond t ~ 37.5 it is
+    # subnormal, carries fewer significant bits, and is compared absolutely
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert np.max(np.abs(got - ref)[normal] / np.abs(ref[normal])) <= 1e-12
+    assert np.max(np.abs(got - ref)[~normal]) <= np.finfo(float).tiny
+
+
+def test_log_ndtr_at_validate_points():
+    # the t values of validate's half_gaussian_log_mgf_closed and moments checks
+    for t in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+        assert abs(_log_ndtr(t) - float(log_ndtr(t))) <= 1e-15
