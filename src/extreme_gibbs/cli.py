@@ -33,7 +33,7 @@ from . import exceedance as exc
 from . import gibbs
 from . import oracle
 from . import tilt
-from .config import AGrid, ApproxReport, ARule, ExperimentConfig, _parse_float, fmt17
+from .config import _FIELDS, ApproxReport, ExperimentConfig, fmt17
 from .errors import ConfigError, ExtremeGibbsError
 from .model import make_exp_exponential, make_half_gaussian, make_weibull, model_from_spec
 
@@ -112,7 +112,7 @@ def cmd_tilt(cfg: ExperimentConfig) -> list[list]:
         try:
             tp = tilt.solve_tilt(model, float(a))
             return [float(a), tp.t, tp.a, tp.s2, tp.mu3, tp.skew, tp.psi_val, tp.psi_d1, tp.s2, "ok"]
-        except ExtremeGibbsError as err:
+        except (ExtremeGibbsError, ArithmeticError) as err:  # e.g. float overflow at a huge level
             nan = math.nan
             note = "error: " + str(err).replace(",", ";").replace("\n", " ")
             return [float(a), nan, nan, nan, nan, nan, nan, nan, nan, note]
@@ -372,20 +372,30 @@ def cmd_validate(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a config error: one stderr line, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+_HELP = {
+    "model": "model spec: weibull:k=2, half_gaussian, or a file",
+    "n": "comma-separated row sizes, e.g. 8,16,32,64",
+    "a": "level rule: fixed:<v> or power:c=<c>,delta=<d>",
+    "a_grid": "tilt sweep grid lo:hi:count[:log|lin]",
+    "regime": "auto, moderate or fast",
+    "out": "output directory",
+    "format": "csv or json",
+}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file (flags override file values)")
-    sub.add_argument("--model", help="model spec: weibull:k=2, half_gaussian, or a file")
-    sub.add_argument("--n", help="comma-separated row sizes, e.g. 8,16,32,64")
-    sub.add_argument("--a", help="level rule: fixed:<v> or power:c=<c>,delta=<d>")
-    sub.add_argument("--a-grid", dest="a_grid", help="tilt sweep grid lo:hi:count[:log|lin]")
-    sub.add_argument("--regime", choices=["auto", "moderate", "fast"])
-    sub.add_argument("--grid-step", dest="grid_step", type=float)
-    sub.add_argument("--grid-pad", dest="grid_pad", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--format", dest="fmt", choices=["csv", "json"])
-    sub.add_argument("--joint-k", dest="joint_k", type=int)
+    # one flag per config key, kept as text: --grid-step sets grid.step
+    for key in _FIELDS:
+        flag = "--" + key.replace(".", "-").replace("_", "-")
+        sub.add_argument(flag, dest=key, help=_HELP.get(key))
     sub.add_argument(
         "--tol",
         action="append",
@@ -396,7 +406,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extreme-gibbs",
         description="Tilted, Edgeworth and mixture approximations of sum-conditioned laws, with oracles.",
     )
@@ -415,39 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    updates: dict = {}
-    if args.model is not None:
-        updates["model"] = args.model
-    if args.n is not None:
-        try:
-            updates["n"] = tuple(int(p) for p in args.n.split(",") if p)
-        except ValueError:
-            raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
-    if args.a is not None:
-        updates["a"] = ARule.parse(args.a)
-    if args.a_grid is not None:
-        updates["a_grid"] = AGrid.parse(args.a_grid)
-    for key in ("regime", "grid_step", "grid_pad", "seed", "threads", "out", "fmt", "joint_k"):
-        val = getattr(args, key)
-        if val is not None:
-            updates[key] = val
-    if args.tol:
-        tol = dict(cfg.tol)
-        for item in args.tol:
-            name, _, value = item.partition("=")
-            if not value:
-                raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-            tol[name.strip()] = _parse_float(value, "tol." + name.strip())
-        updates["tol"] = tuple(sorted(tol.items()))
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
+    fields = {key: val for key, val in vars(args).items() if key in _FIELDS and val is not None}
+    for item in args.tol:
+        name, _, value = item.partition("=")
+        if not value:
+            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
+        fields["tol." + name.strip()] = value
+    return cfg._with_fields(fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         started = time.perf_counter()
         if args.command == "tilt":
@@ -485,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ExtremeGibbsError as err:
+    except (ExtremeGibbsError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

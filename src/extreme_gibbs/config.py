@@ -1,6 +1,7 @@
 """Experiment configuration: parsing, canonical text form, report rows.
 
-Configs are plain ``key = value`` text with ``#`` comments.  Parsing and
+Configs are plain ``key = value`` text with ``#`` comments, read by the same
+``_read_kv`` as model specs; each key is also a CLI flag.  Parsing and
 :meth:`ExperimentConfig.canonical_text` round-trip exactly, so a config can
 be archived next to its outputs and replayed byte for byte.
 """
@@ -38,19 +39,14 @@ class ARule:
         if text.startswith("fixed:"):
             return ARule("fixed", value=_parse_float(text[6:], "a"))
         if text.startswith("power:"):
-            coeff = delta = math.nan
-            for part in text[6:].split(","):
-                key, _, val = part.partition("=")
-                key = key.strip()
-                if key == "c":
-                    coeff = _parse_float(val, "a.c")
-                elif key == "delta":
-                    delta = _parse_float(val, "a.delta")
-                else:
-                    raise ConfigError(f"unknown key {key!r} in a-rule {text!r}")
-            if math.isnan(coeff) or math.isnan(delta):
+            fields = _read_kv(text[6:].replace(",", "\n"), "a-rule")
+            unknown = sorted(fields.keys() - {"c", "delta"})
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in a-rule {text!r}")
+            if len(fields) < 2:
                 raise ConfigError(f"power rule needs c and delta: {text!r}")
-            return ARule("power", coeff=coeff, delta=delta)
+            coeff = _parse_float(fields["c"], "a.c")
+            return ARule("power", coeff=coeff, delta=_parse_float(fields["delta"], "a.delta"))
         try:
             return ARule("fixed", value=float(text))
         except ValueError:
@@ -83,15 +79,14 @@ class AGrid:
             raise ConfigError(f"a-grid must be lo:hi:count[:scale], got {text!r}")
         lo = _parse_float(parts[0], "a_grid.lo")
         hi = _parse_float(parts[1], "a_grid.hi")
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise ConfigError(f"a-grid count must be an integer, got {parts[2]!r}") from None
+        count = _parse_int(parts[2], "a_grid.count")
         scale = parts[3] if len(parts) == 4 else "log"
         if scale not in ("log", "lin"):
             raise ConfigError(f"a-grid scale must be log or lin, got {scale!r}")
         if not (hi > lo and count >= 1):
             raise ConfigError(f"a-grid needs hi > lo and count >= 1: {text!r}")
+        if scale == "log" and not lo > 0:
+            raise ConfigError(f"a log a-grid needs lo > 0: {text!r}")
         return AGrid(lo, hi, count, scale)
 
     def canonical(self) -> str:
@@ -103,6 +98,23 @@ class AGrid:
         return np.linspace(self.lo, self.hi, self.count)
 
 
+def _read_kv(text: str, what: str) -> dict[str, str]:
+    """``key = value`` lines with ``#`` comments; ``what`` names the input in errors."""
+    out: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise ConfigError(f"malformed {what} line {raw!r}")
+        if key in out:
+            raise ConfigError(f"repeated {what} key {key!r}")
+        out[key] = val.strip()
+    return out
+
+
 def _parse_float(text: str, key: str) -> float:
     try:
         return float(text.strip())
@@ -112,25 +124,40 @@ def _parse_float(text: str, key: str) -> float:
 
 def _parse_int(text: str, key: str) -> int:
     """An integer field; integral floats such as ``2.0`` are accepted."""
-    value = _parse_float(text, key)
+    try:
+        return int(text)
+    except ValueError:
+        value = _parse_float(text, key)
     if not (math.isfinite(value) and value == int(value)):
         raise ConfigError(f"value for {key!r} is not an integer: {text!r}")
     return int(value)
 
 
-_KNOWN_KEYS = {
-    "model",
-    "n",
-    "a",
-    "a_grid",
-    "regime",
-    "grid.step",
-    "grid.pad",
-    "seed",
-    "threads",
-    "out",
-    "format",
-    "joint_k",
+def _parse_ints(text: str, key: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ConfigError(f"value for {key!r} has an empty entry: {text!r}")
+    return tuple(_parse_int(p, key) for p in parts)
+
+
+def _text(text: str, key: str) -> str:
+    return text
+
+
+# config key -> (ExperimentConfig field, parser of the value text)
+_FIELDS = {
+    "model": ("model", _text),
+    "n": ("n", _parse_ints),
+    "a": ("a", lambda text, key: ARule.parse(text)),
+    "a_grid": ("a_grid", lambda text, key: AGrid.parse(text)),
+    "regime": ("regime", _text),
+    "grid.step": ("grid_step", _parse_float),
+    "grid.pad": ("grid_pad", _parse_float),
+    "seed": ("seed", _parse_int),
+    "threads": ("threads", _parse_int),
+    "out": ("out", _text),
+    "format": ("fmt", _text),
+    "joint_k": ("joint_k", _parse_int),
 }
 
 
@@ -153,66 +180,40 @@ class ExperimentConfig:
     tol: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.regime not in ("auto", "moderate", "fast"):
+            raise ConfigError(f"regime must be auto, moderate or fast: {self.regime!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json: {self.fmt!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.joint_k not in (0, 2):
             raise ConfigError(f"joint_k must be 0 or 2, got {self.joint_k!r}")
+        for name, val in (("grid.step", self.grid_step), ("grid.pad", self.grid_pad)):
+            if not (math.isfinite(val) and val > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads!r}")
         for name, val in self.tol:
             if not (math.isfinite(val) and val >= 0.0):
                 raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {val!r}")
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        cfg = ExperimentConfig()
+        return ExperimentConfig()._with_fields(_read_kv(text, "config"))
+
+    def _with_fields(self, fields: dict[str, str]) -> "ExperimentConfig":
+        """This config with ``{key: value text}`` applied; ``tol.NAME`` keys add tolerances."""
         updates: dict = {}
-        tol: dict[str, float] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line {raw!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
+        tol = dict(self.tol)
+        for key, text in fields.items():
             if key.startswith("tol."):
-                tol[key[4:]] = _parse_float(val, key)
-                continue
-            if key not in _KNOWN_KEYS:
+                tol[key[4:]] = _parse_float(text, key)
+            elif key in _FIELDS:
+                name, parse = _FIELDS[key]
+                updates[name] = parse(text, key)
+            else:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key == "model":
-                updates["model"] = val
-            elif key == "n":
-                try:
-                    updates["n"] = tuple(int(p.strip()) for p in val.split(",") if p.strip())
-                except ValueError:
-                    raise ConfigError(f"value for 'n' must be integers: {val!r}") from None
-            elif key == "a":
-                updates["a"] = ARule.parse(val)
-            elif key == "a_grid":
-                updates["a_grid"] = AGrid.parse(val)
-            elif key == "regime":
-                if val not in ("auto", "moderate", "fast"):
-                    raise ConfigError(f"regime must be auto, moderate or fast: {val!r}")
-                updates["regime"] = val
-            elif key == "grid.step":
-                updates["grid_step"] = _parse_float(val, key)
-            elif key == "grid.pad":
-                updates["grid_pad"] = _parse_float(val, key)
-            elif key == "seed":
-                updates["seed"] = _parse_int(val, key)
-            elif key == "threads":
-                updates["threads"] = _parse_int(val, key)
-            elif key == "out":
-                updates["out"] = val
-            elif key == "format":
-                if val not in ("csv", "json"):
-                    raise ConfigError(f"format must be csv or json: {val!r}")
-                updates["fmt"] = val
-            elif key == "joint_k":
-                updates["joint_k"] = _parse_int(val, key)
-        if tol:
-            updates["tol"] = tuple(sorted(tol.items()))
-        return replace(cfg, **updates)
+        return replace(self, tol=tuple(sorted(tol.items())), **updates)
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import quad
+from .config import _read_kv
 from .errors import ConfigError, DomainError, NumericError
 
 __all__ = [
@@ -365,8 +367,11 @@ _EXPR_NAMES = {
 }
 
 
-def _compile_expr(expr: str, var: str = "x") -> Callable:
-    code = compile(expr, "<model-expr>", "eval")
+def _compile_expr(expr: str, key: str, var: str = "x") -> Callable:
+    try:
+        code = compile(expr, "<model-expr>", "eval")
+    except (SyntaxError, ValueError):
+        raise ConfigError(f"model spec field {key!r} is not an expression: {expr!r}") from None
     allowed = set(_EXPR_NAMES) | {var}
     bad = set(code.co_names) - allowed
     if bad:
@@ -375,9 +380,12 @@ def _compile_expr(expr: str, var: str = "x") -> Callable:
     def fn(x):
         local = dict(_EXPR_NAMES)
         local[var] = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = eval(code, {"__builtins__": {}}, local)  # noqa: S307 - vetted names only
-        return np.asarray(out, dtype=float) + np.zeros_like(local[var])
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out = eval(code, {"__builtins__": {}}, local)  # noqa: S307 - vetted names only
+            return np.asarray(out, dtype=float) + np.zeros_like(local[var])
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:  # 1/0, x[0], e(x), ...
+            raise DomainError(f"expression {expr!r} failed: {exc}") from None
 
     return fn
 
@@ -391,19 +399,6 @@ def _central_derivative(fn: Callable, rel_step: float = 1e-6) -> Callable:
     return deriv
 
 
-def _parse_kv_text(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"malformed model spec line {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
 def _spec_float(text: str, key: str) -> float:
     """A number from a model spec; a malformed one is a ConfigError."""
     try:
@@ -412,7 +407,8 @@ def _spec_float(text: str, key: str) -> float:
         raise ConfigError(f"model spec field {key!r} must be a number, got {text!r}") from None
 
 
-def _parse_variation(spec: str, h, h_prime, psi_fn) -> VariationClass:
+def _parse_variation(spec: str, h, h_prime, psi_fn, epsilon: str | None = None) -> VariationClass:
+    """``regular[:beta]`` or ``rapid``; an ``epsilon`` expression replaces the derived one."""
     spec = spec.strip().lower()
     if spec.startswith("regular"):
         beta = 1.0
@@ -423,6 +419,8 @@ def _parse_variation(spec: str, h, h_prime, psi_fn) -> VariationClass:
             arr = np.asarray(x, dtype=float)
             return arr * h_prime(arr) / h(arr) - beta
 
+        if epsilon is not None:
+            eps = _compile_expr(epsilon, "epsilon")
         return VariationClass(kind="regular", beta=beta, epsilon=eps, karamata_c=1.0)
     if spec.startswith("rapid"):
 
@@ -431,6 +429,8 @@ def _parse_variation(spec: str, h, h_prime, psi_fn) -> VariationClass:
             ps = np.vectorize(psi_fn)(arr)
             return arr / (h_prime(ps) * ps)
 
+        if epsilon is not None:
+            eps = _compile_expr(epsilon, "epsilon", var="t")
         return VariationClass(kind="rapid", beta=None, epsilon=eps, karamata_c=1.0)
     raise DomainError(f"unknown variation spec {spec!r}")
 
@@ -441,14 +441,24 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
     q_bound = _spec_float(fields.get("q_bound", "0"), "q_bound")
 
     if "table" in fields:
-        from scipy.interpolate import CubicSpline
+        try:
+            from scipy.interpolate import CubicSpline
+        except ImportError:
+            raise ConfigError("a tabulated model ('table = ...') needs scipy, which is not installed") from None
 
         path = fields["table"]
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        xs, gs = data[:, 0], data[:, 1]
-        qs = data[:, 2] if data.shape[1] > 2 else np.zeros_like(xs)
-        g_spline = CubicSpline(xs, gs)
-        q_spline = CubicSpline(xs, qs)
+        try:  # a missing file, a bad number, too few rows or columns, x not increasing
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty table fails the shape check instead
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if data.shape[0] < 2 or data.shape[1] < 2:
+                raise ValueError("a table needs columns x,g[,q] and at least 2 rows")
+            xs, gs = data[:, 0], data[:, 1]
+            qs = data[:, 2] if data.shape[1] > 2 else np.zeros_like(xs)
+            g_spline = CubicSpline(xs, gs)
+            q_spline = CubicSpline(xs, qs)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read model table {path!r}: {exc}") from None
         g = lambda x: g_spline(np.asarray(x, dtype=float))
         q = lambda x: q_spline(np.asarray(x, dtype=float))
         h = g_spline.derivative(1)
@@ -457,17 +467,15 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
     else:
         if "g" not in fields:
             raise DomainError("custom model needs either 'g = <expr>' or 'table = <csv>'")
-        g = _compile_expr(fields["g"])
-        q = _compile_expr(fields["q"]) if "q" in fields else _zero
-        h = _compile_expr(fields["h"]) if "h" in fields else _central_derivative(g)
-        h_prime = (
-            _compile_expr(fields["h_prime"]) if "h_prime" in fields else _central_derivative(h)
-        )
-        h_second = (
-            _compile_expr(fields["h_second"])
-            if "h_second" in fields
-            else _central_derivative(h_prime)
-        )
+
+        def expr(key, default):
+            return _compile_expr(fields[key], key) if key in fields else default
+
+        g = _compile_expr(fields["g"], "g")
+        q = expr("q", _zero)
+        h = expr("h", _central_derivative(g))
+        h_prime = expr("h_prime", _central_derivative(h))
+        h_second = expr("h_second", _central_derivative(h_prime))
 
     # locate the sign change of h, if any, to seed the monotone branch
     h_zero = support_lo
@@ -493,16 +501,7 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
     def psi_fn(t):
         return _invert_slope(h, float(t), support_lo, h_zero)
 
-    if "epsilon" in fields:
-        var_kind = fields.get("variation", "regular:1").strip().lower()
-        eps = _compile_expr(fields["epsilon"], var="t" if var_kind.startswith("rapid") else "x")
-        if var_kind.startswith("regular"):
-            beta = _spec_float(var_kind.split(":", 1)[1], "variation") if ":" in var_kind else 1.0
-            variation = VariationClass("regular", beta, eps, 1.0)
-        else:
-            variation = VariationClass("rapid", None, eps, 1.0)
-    else:
-        variation = _parse_variation(fields.get("variation", "regular:1"), h, h_prime, psi_fn)
+    variation = _parse_variation(fields.get("variation", "regular:1"), h, h_prime, psi_fn, fields.get("epsilon"))
 
     def log_unnorm(x):
         arr = np.asarray(x, dtype=float)
@@ -528,6 +527,16 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
     )
 
 
+# keys each model kind accepts besides ``kind``
+_SPEC_KEYS = {
+    "weibull": ["k"],
+    "exp_exponential": [],
+    "expexp": [],
+    "half_gaussian": [],
+    "custom": "name support_lo q_bound g q h h_prime h_second h_min variation epsilon table".split(),
+}
+
+
 def model_from_spec(source: str) -> DensityModel:
     """Build a model from an inline spec or a key-value spec file.
 
@@ -545,26 +554,24 @@ def model_from_spec(source: str) -> DensityModel:
         raise ConfigError(f"model spec file not found: {source!r}")
     if "\n" not in text and "=" in text and ":" in text and not text.startswith("kind"):
         kind, _, rest = text.partition(":")
-        fields = {"kind": kind.strip()}
-        for part in rest.split(","):
-            if part.strip():
-                key, _, val = part.partition("=")
-                fields[key.strip()] = val.strip()
+        text = f"kind = {kind}\n" + rest.replace(",", "\n")
     elif "\n" not in text and "=" not in text:
-        fields = {"kind": text.strip()}
-    else:
-        fields = _parse_kv_text(text)
+        text = f"kind = {text}"
+    fields = _read_kv(text, "model spec")
 
-    kind = fields.get("kind", "").strip().lower()
+    kind = fields.get("kind", "").lower()
+    if kind not in _SPEC_KEYS:
+        raise DomainError(f"unknown model kind {fields.get('kind')!r}")
+    unknown = sorted(fields.keys() - {"kind", *_SPEC_KEYS[kind]})
+    if unknown:
+        raise ConfigError(f"model kind {kind!r} takes no key {unknown[0]!r}")
     if kind == "weibull":
         return make_weibull(_spec_float(fields.get("k", "2"), "k"))
     if kind in ("exp_exponential", "expexp"):
         return make_exp_exponential()
     if kind == "half_gaussian":
         return make_half_gaussian()
-    if kind == "custom":
-        return _custom_model(fields)
-    raise DomainError(f"unknown model kind {fields.get('kind')!r}")
+    return _custom_model(fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Configs, the four subcommands, reproducibility, and serialization."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extreme_gibbs
-from extreme_gibbs.cli import main
-from extreme_gibbs.config import AGrid, ARule, ApproxReport, ExperimentConfig, fmt17
+from extreme_gibbs import oracle
+from extreme_gibbs.cli import _config_from_args, build_parser, main
+from extreme_gibbs.config import _FIELDS, AGrid, ARule, ApproxReport, ExperimentConfig, fmt17
 from extreme_gibbs.errors import ConfigError
 
 
@@ -333,3 +340,266 @@ class TestValidate:
         summary = json.loads((tmp_path / "validate.json").read_text())
         failed = [c["name"] for c in summary["checks"] if not c["passed"]]
         assert failed == ["solver_roundtrip_weibull2"]
+
+
+def _run(argv, capsys):
+    """Exit code and stderr lines of one ``main`` call."""
+    code = main(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestInputErrors:
+    """Inputs that once ended in a traceback or were accepted without a word."""
+
+    def test_log_grid_through_zero(self, tmp_path, capsys):
+        assert _run(["tilt", "--a-grid", "0:10:5:log", "--out", str(tmp_path)], capsys) == (
+            2,
+            ["config error: a log a-grid needs lo > 0: '0:10:5:log'"],
+        )
+
+    def test_expression_syntax_error_names_the_key(self, tmp_path, capsys):
+        spec = tmp_path / "model.spec"
+        spec.write_text("kind = custom\ng = x**\n")
+        assert _run(["tilt", "--model", str(spec), "--out", str(tmp_path)], capsys) == (
+            2,
+            ["config error: model spec field 'g' is not an expression: 'x**'"],
+        )
+
+    def test_expression_arithmetic_error_names_the_expression(self, tmp_path, capsys):
+        spec = tmp_path / "model.spec"
+        spec.write_text("kind = custom\ng = x**2\nh = 1/0\n")
+        assert _run(["tilt", "--model", str(spec), "--out", str(tmp_path)], capsys) == (
+            1,
+            ["error: expression '1/0' failed: division by zero"],
+        )
+
+    def test_table_model_without_scipy(self, tmp_path, capsys, monkeypatch):
+        table = tmp_path / "table.csv"
+        table.write_text("x,g\n0,0\n1,0.5\n2,2\n")
+        spec = tmp_path / "model.spec"
+        spec.write_text(f"kind = custom\ntable = {table}\n")
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)  # the import now fails
+        assert _run(["tilt", "--model", str(spec), "--out", str(tmp_path)], capsys) == (
+            2,
+            ["config error: a tabulated model ('table = ...') needs scipy, which is not installed"],
+        )
+
+    def test_float_overflow_at_a_huge_level_is_a_row_error(self, tmp_path, capsys):
+        assert main(["tilt", "--a-grid", "1:1e300:3", "--out", str(tmp_path)]) == 0
+        statuses = [row.split(",")[-1] for row in (tmp_path / "tilt.csv").read_text().splitlines()[2:]]
+        assert statuses[0] == "ok"
+        assert all(s.startswith("error:") for s in statuses[1:])
+
+    def test_float_overflow_and_unwritable_out_end_in_one_line(self, tmp_path, capsys):
+        code, lines = _run(["gibbs", "--n", "4", "--a", "fixed:1e150", "--out", str(tmp_path)], capsys)
+        assert (code, lines) == (1, ["error: (34, 'Numerical result out of range')"])
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code, lines = _run(["tilt", "--a-grid", "2:4:2", "--out", str(blocker)], capsys)
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--model", "weibull:q=2"], "config error: model kind 'weibull' takes no key 'q'"),
+            (["--model", "weibull:k=2,k=3"], "config error: repeated model spec key 'k'"),
+            (["--n", "8,,"], "config error: value for 'n' has an empty entry: '8,,'"),
+            (["--threads", "-2"], "config error: threads must be >= 0, got -2"),
+            (["--grid-step", "0"], "config error: grid.step must be finite and > 0, got 0.0"),
+            (["--bogus", "1"], "config error: unrecognized arguments: --bogus 1"),
+        ],
+    )
+    def test_rejected_flags(self, tmp_path, capsys, argv, line):
+        assert _run(["tilt"] + argv + ["--out", str(tmp_path)], capsys) == (2, [line])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("seed = 1\nseed = 2\n", "config error: repeated config key 'seed'"),
+            ("seed 1\n", "config error: malformed config line 'seed 1'"),
+            ("= 1\n", "config error: malformed config line '= 1'"),
+            ("model = weibull:k=2\nn = 4,\n", "config error: value for 'n' has an empty entry: '4,'"),
+        ],
+    )
+    def test_rejected_config_lines(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert _run(["tilt", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys) == (2, [line])
+
+
+# one good and one bad value text per config key; None where no text is invalid
+_FIELD_VALUES = {
+    "model": ("weibull:k=3", "weibull:k=abc"),
+    "n": ("4,8", "4,x"),
+    "a": ("power:c=1,delta=0.5", "power:c=1"),
+    "a_grid": ("1:10:4:lin", "0:10:4:log"),
+    "regime": ("fast", "bogus"),
+    "grid.step": ("0.002", "tiny"),
+    "grid.pad": ("10", "nan"),
+    "seed": ("2.0", "2.5"),
+    "threads": ("3", "-2"),
+    "out": ("results", None),
+    "format": ("json", "xml"),
+    "joint_k": ("2", "1"),
+}
+
+
+def _flag(key):
+    return "--" + key.replace(".", "-").replace("_", "-")
+
+
+class TestFlagFileParity:
+    """A flag and a config line are one input: same config, same error line."""
+
+    def test_every_key_has_values(self):
+        assert set(_FIELD_VALUES) == set(_FIELDS)
+
+    @pytest.mark.parametrize("key", sorted(_FIELD_VALUES))
+    def test_good_value(self, key):
+        good = _FIELD_VALUES[key][0]
+        from_flag = _config_from_args(build_parser().parse_args(["tilt", _flag(key), good]))
+        assert from_flag == ExperimentConfig.from_text(f"{key} = {good}\n")
+        assert from_flag != ExperimentConfig()
+
+    @pytest.mark.parametrize("key", sorted(k for k, v in _FIELD_VALUES.items() if v[1] is not None))
+    def test_bad_value(self, key, tmp_path, capsys):
+        bad = _FIELD_VALUES[key][1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {bad}\n")
+        out = ["--a-grid", "2:4:2", "--out", str(tmp_path / "out")]
+        if key == "a_grid":
+            out = out[2:]
+        by_flag = _run(["tilt", _flag(key), bad] + out, capsys)
+        by_file = _run(["tilt", "--config", str(cfg)] + out, capsys)
+        assert by_flag == by_file
+        assert by_flag[0] == 2 and len(by_flag[1]) == 1 and by_flag[1][0].startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+
+# -- fuzz ----------------------------------------------------------------------
+#
+# Small grammars of argv flags, config lines, inline and file model specs,
+# expressions and table files, each mixing good and bad pieces.  Only tilt
+# and gibbs are run: exceed and validate take 0.5-1.5 s per call and read
+# their input through the same config and model-spec code.
+
+_FLAG_TEXT = {
+    "--n": ["4", "4,6", "8,,", "x", "2.0", "0", "-3", ""],
+    "--a": ["fixed:2", "3", "power:c=1,delta=0.5", "power:c=1", "power:c=1,c=2", "fixed:nan", "bogus"],
+    "--a-grid": ["2:5:2", "1:10:3:lin", "0:10:3:log", "5:1:3", "2:5:x", "2:5", "2:5:2:sqrt", "1:1e300:2"],
+    "--regime": ["auto", "fast", "bogus"],
+    "--grid-pad": ["10", "nan", "0"],
+    "--seed": ["0", "2.0", "-1", "1e400", "x"],
+    "--threads": ["1", "2", "-2", "0.5"],
+    "--format": ["csv", "json", "xml"],
+    "--joint-k": ["0", "2", "3"],
+    "--tol": ["foo=1", "foo=x", "foo", "=1"],
+    "--bogus": ["1"],
+}
+_CONFIG_LINES = [
+    "model = half_gaussian",
+    "n = 4",
+    "seed = 1",
+    "regime = bogus",
+    "bogus = 1",
+    "no equals sign",
+    "# a comment",
+    "tol.x = 1",
+    "threads = -2",
+    "= 3",
+    "format = json",
+    "a = fixed:2.5",
+]
+_INLINE_MODELS = [
+    "weibull:k=2",
+    "weibull:k=3",
+    "half_gaussian",
+    "exp_exponential",
+    "weibull:k=abc",
+    "weibull:q=2",
+    "weibull:k=2,k=3",
+    "weibull:k=0.5",
+    "weibull:k",
+    "cauchy",
+    "",
+]
+_EXPRESSIONS = ["x**2", "x**2 - log(x)", "exp(x - 1)", "2*x", "x**", "1/0", "e(x)", "x[0]", "exp", "y", "(", "-x**2"]
+_SPEC_LINES = [
+    "h = 2*x",
+    "h_prime = 2",
+    "variation = regular:1",
+    "variation = rapid",
+    "variation = bogus",
+    "epsilon = 1/x",
+    "support_lo = 0",
+    "support_lo = zero",
+    "q = 0",
+    "q_bound = 0",
+    "name = fuzz",
+    "foo = 1",
+    "no equals sign",
+]
+_TABLE_ROWS = ["0,0", "0.5,0.125,0", "1,0.5", "2,2,0", "3,4.5", "3,4.5", "a,b", "1", "nan,1"]
+
+_HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, files to write, whether the model reads a table); paths are relative to a run directory."""
+    files = {}
+    argv = [draw(st.sampled_from(["tilt", "gibbs"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_TEXT)), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(_FLAG_TEXT[flag]))]
+    model_form = draw(st.sampled_from(["default", "inline", "expressions", "table"]))
+    if model_form == "inline":
+        argv += ["--model", draw(st.sampled_from(_INLINE_MODELS))]
+    elif model_form != "default":
+        lines = ["kind = custom"]
+        if model_form == "table":
+            rows = draw(st.lists(st.sampled_from(_TABLE_ROWS), max_size=4))
+            files["table.csv"] = "\n".join(["x,g,q"] + rows) + "\n"
+            lines.append("table = table.csv")
+        else:
+            lines.append("g = " + draw(st.sampled_from(_EXPRESSIONS)))
+        lines += draw(st.lists(st.sampled_from(_SPEC_LINES), max_size=2, unique=True))
+        files["model.spec"] = "\n".join(lines) + "\n"
+        argv += ["--model", "model.spec"]
+    if draw(st.booleans()):
+        files["run.cfg"] = "\n".join(draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=2))) + "\n"
+        argv += ["--config", "run.cfg"]
+    # keep the gibbs oracle small unless the drawn flags say otherwise
+    if "--n" not in argv and "--config" not in argv:
+        argv += ["--n", "4"]
+    return argv + ["--grid-step", "0.02", "--out", "out"], files, model_form == "table"
+
+
+@settings(max_examples=80)
+@given(_invocations())
+def test_fuzzed_inputs_end_in_one_line(invocation):
+    argv, files, uses_table = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        cwd = os.getcwd()
+        err = io.StringIO()
+        try:
+            os.chdir(tmp)
+            # a warning the CLI would print counts as a stderr line
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+            # a cached oracle pins its convolution table after the table cache
+            # drops it, which would split the tables that later tests expect shared
+            oracle.get_oracle.cache_clear()
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert len(lines) == 1 and not caught, (lines, [str(w.message) for w in caught])
+    if uses_table and not _HAVE_SCIPY:
+        assert code == 2

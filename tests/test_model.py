@@ -247,3 +247,41 @@ class TestModelSpecs:
     def test_expression_rejects_unknown_names(self):
         with pytest.raises(DomainError):
             model_from_spec("kind = custom\ng = __import__('os').SEEK_SET * x\n")
+
+    def test_one_row_table_is_a_config_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("x,g,q\n1.0,0.5,0.0\n")
+        with pytest.raises(ConfigError, match="cannot read model table .*at least 2"):
+            model_from_spec(f"kind = custom\ntable = {path}\n")
+
+    def test_missing_table_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read model table"):
+            model_from_spec(f"kind = custom\ntable = {tmp_path / 'none.csv'}\n")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("weibull:q=2", "model kind 'weibull' takes no key 'q'"),
+            ("half_gaussian:k=2", "model kind 'half_gaussian' takes no key 'k'"),
+            ("kind = custom\ng = x**2\ngg = x\n", "model kind 'custom' takes no key 'gg'"),
+            ("weibull:k=2,k=3", "repeated model spec key 'k'"),
+            ("kind = custom\ng = x**2\ng = x**3\n", "repeated model spec key 'g'"),
+            ("kind = custom\ng x**2\n", "malformed model spec line 'g x\\*\\*2'"),
+        ],
+    )
+    def test_spec_keys_are_checked(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            model_from_spec(spec)
+
+    def test_epsilon_needs_a_known_variation(self):
+        # an unknown variation was once read as rapid whenever epsilon was given
+        with pytest.raises(DomainError, match="unknown variation spec 'bogus'"):
+            model_from_spec("kind = custom\ng = x**2\nepsilon = 1/x\nvariation = bogus\n")
+
+    def test_epsilon_expression_replaces_the_derived_one(self):
+        regular = model_from_spec("kind = custom\ng = x**2\nepsilon = 1/x\nvariation = regular:beta=2\n")
+        assert (regular.variation.kind, regular.variation.beta) == ("regular", 2.0)
+        assert float(np.asarray(regular.variation.epsilon(4.0))) == 0.25
+        rapid = model_from_spec("kind = custom\ng = exp(x - 1)\nepsilon = 1/(log(t) + 1)\nvariation = rapid\n")
+        assert rapid.variation.kind == "rapid"
+        assert float(np.asarray(rapid.variation.epsilon(math.e))) == 0.5
