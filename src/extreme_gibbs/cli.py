@@ -59,7 +59,7 @@ def _run_rows(cfg: ExperimentConfig, jobs):
         return [f.result() for f in futures]
 
 
-def _write_table(path: str, header: list[str], rows: list[list], fmt: str) -> None:
+def _write_table(path: str, header: list[str], rows: list[list] | np.ndarray, fmt: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if fmt == "json":
         payload = {
@@ -73,6 +73,11 @@ def _write_table(path: str, header: list[str], rows: list[list], fmt: str) -> No
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# extreme-gibbs v{__version__}\n")
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            # %.17g writes the bytes of fmt17; one format call covers the block
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             fh.write(",".join(map(_cell, row)) + "\n")
 
@@ -171,7 +176,7 @@ def cmd_gibbs(cfg: ExperimentConfig) -> list[ApproxReport]:
                 )
             )
             path = os.path.join(cfg.out, f"curve_{name}_n{n}.csv")
-            _write_table(path, _CURVE_HEADER, list(zip(ys, exact, vals)), "csv")
+            _write_table(path, _CURVE_HEADER, np.column_stack((ys, exact, vals)), "csv")
         if cfg.joint_k == 2 and n > 8:
             s = orc.tp.s
             grid = np.arange(max(model.support_lo, a_n - 8 * s), a_n + 8 * s, 10 * cfg.grid_step)
@@ -214,7 +219,7 @@ def cmd_exceed(cfg: ExperimentConfig) -> list[ApproxReport]:
         a_n = cfg.a.a_for(n)
         started = time.perf_counter()
         orc = oracle.get_oracle(model, n, a_n, step=cfg.grid_step, pad=cfg.grid_pad)
-        mix = exc.ExceedanceMixture(model, n, a_n)
+        mix = exc._mixture_cached(model, n, a_n, "tilted", None)
         ys = orc.default_ygrid()
         exact = orc.exceedance_curve(ys)
         approx = mix.density(ys)
@@ -222,7 +227,7 @@ def cmd_exceed(cfg: ExperimentConfig) -> list[ApproxReport]:
         tail_ratio = math.exp(exc.tail_probability(model, n, a_n) - orc.log_tail())
         lp1, lp2 = exc.window_tail_masses(model, n, a_n)
         path = os.path.join(cfg.out, f"curve_exceed_n{n}.csv")
-        _write_table(path, _CURVE_HEADER, list(zip(ys, exact, approx)), "csv")
+        _write_table(path, _CURVE_HEADER, np.column_stack((ys, exact, approx)), "csv")
         regime = cfg.regime if cfg.regime != "auto" else gibbs.classify_regime(model, n, a_n).kind
         return ApproxReport(
             name="exceedance_mixture",

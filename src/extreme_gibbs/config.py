@@ -180,6 +180,9 @@ class ExperimentConfig:
     tol: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        for name, val in (("model", self.model), ("out", self.out)):  # one canonical_text line each
+            if "#" in val or "".join(val.splitlines()) != val:
+                raise ConfigError(f"{name} must not contain '#' or a line break: {val!r}")
         if self.regime not in ("auto", "moderate", "fast"):
             raise ConfigError(f"regime must be auto, moderate or fast: {self.regime!r}")
         if self.fmt not in ("csv", "json"):

@@ -11,10 +11,13 @@ Two saddlepoint formulas built on it are exposed in log scale:
 Conditioning on the exceedance event {S_n >= n a_n} mixes point conditionals
 over a thin window [a_n, a_n + eta_n] of levels: the weight of level tau is
 proportional to ``exp(-n I(tau)) / s(t_tau)``, which decays like
-``exp(-n t (tau - a_n))``, so Gauss-Legendre nodes are packed against a_n by
-the substitution ``tau = a_n + eta u^2``.  The mixture is renormalized to
-unit mass; the raw prefactor of the asymptotic formula is kept as a
-diagnostic (it is not itself a probability normalization at finite n).
+``exp(-n t (tau - a_n))``.  The window is integrated over the tilt: with
+tau = m(t), d tau = s^2(t) dt and I(m(t)) = t m(t) - log Phi(t) (Daniels
+1954), so a node costs one ``tilt_moments`` call and no solve.  Nodes are
+packed against a_n by ``t = t_a + (t_e - t_a) u^2``, t_e the tilt at a_n +
+eta.  The mixture is renormalized to unit mass; the raw prefactor of the
+asymptotic formula is kept as a diagnostic (it is not itself a probability
+normalization at finite n).
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 
 from . import quad
 from .errors import DomainError, NumericError
-from .gibbs import FastGrowthParams, fast_growth_params, log_fast_growth
+from .gibbs import fast_growth_params, log_fast_growth
 from .model import DensityModel
-from .tilt import TiltParams, log_tilted_density, solve_tilt, solve_tilt_cached
+from .tilt import log_tilted_density, solve_tilt_cached, tilt_moments
 
 __all__ = [
     "RatePoint",
@@ -110,7 +113,6 @@ class ExceedanceMixture:
         n: int,
         a_n: float,
         variant: str = "tilted",
-        n_nodes: int = 32,
         eta: float | None = None,
     ):
         if variant not in ("tilted", "gaussian_modulated"):
@@ -124,39 +126,29 @@ class ExceedanceMixture:
         if not (self.eta > 0):
             raise DomainError("window width must be positive")
 
-        u01, w01 = np.polynomial.legendre.leggauss(n_nodes)
+        # a Newton step from each solve puts the ends at a_n and a_n + eta to second order
+        self.tp_end = solve_tilt_cached(model, self.a_n + self.eta)
+        t_a = self.tp.t + (self.a_n - self.tp.a) / self.tp.s2
+        self.t_end = self.tp_end.t + (self.a_n + self.eta - self.tp_end.a) / self.tp_end.s2
+        span = self.t_end - t_a
+        if not span > 0:
+            raise NumericError(f"window of width {self.eta!r} at {self.a_n!r} spans no tilt interval")
+        u01, w01 = np.polynomial.legendre.leggauss(32)
         u = 0.5 * (u01 + 1.0)
-        w = 0.5 * w01
-        self.taus = self.a_n + self.eta * u**2
-        jac = 2.0 * self.eta * u
+        ts = t_a + span * u**2
+        self._tps = [tilt_moments(model, t) for t in ts.tolist()]
+        self.taus, s2, log_phi = np.array([(q.a, q.s2, q.log_phi) for q in self._tps]).T
+        self.I_a = self.a_n * self.tp.t - self.tp.log_phi
+        self._log_w_plain = -self.n * (self.taus * ts - log_phi - self.I_a) - 0.5 * np.log(s2)
+        # d tau = s^2 dt, and dt = 2 span u du
+        log_w = self._log_w_plain + np.log(s2 * span * u * w01)
+        if variant == "gaussian_modulated":
+            self._fps = [fast_growth_params(model, self.n, q.a, tp=q) for q in self._tps]
 
-        I_a = self.a_n * self.tp.t - self.tp.log_phi
-        self._tps: list[TiltParams] = []
-        self._fps: list[FastGrowthParams | None] = []
-        log_w = np.empty(n_nodes)
-        log_w_plain = np.empty(n_nodes)
-        for j, tau in enumerate(self.taus):
-            try:
-                tp_j = solve_tilt_cached(model, float(tau))
-            except (DomainError, NumericError) as exc:
-                raise NumericError(f"tilt solve failed at window node tau={tau!r}") from exc
-            self._tps.append(tp_j)
-            I_j = tau * tp_j.t - tp_j.log_phi
-            log_w_plain[j] = -self.n * (I_j - I_a) - math.log(tp_j.s)
-            log_w[j] = log_w_plain[j] + math.log(jac[j] * w[j])
-            if variant == "gaussian_modulated":
-                self._fps.append(fast_growth_params(model, self.n, float(tau), tp=tp_j))
-            else:
-                self._fps.append(None)
-
-        self._log_w_plain = log_w_plain
-        top = np.max(log_w)
-        self.log_norm = float(top + math.log(np.sum(np.exp(log_w - top))))
+        self.log_norm = quad._logsumexp(log_w)
         self.log_weights = log_w - self.log_norm
         # mass assigned by the literal asymptotic prefactor t s exp(n I(a))
-        self.raw_prefactor = math.exp(
-            math.log(self.tp.t * self.tp.s) + self.log_norm
-        )
+        self.raw_prefactor = math.exp(math.log(self.tp.t * self.tp.s) + self.log_norm)
 
     def log_density(self, y) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -198,8 +190,7 @@ def exceedance_approx(
     Returns the renormalized mixture density at y.  The raw asymptotic
     prefactor is available as ``ExceedanceMixture(...).raw_prefactor``.
     """
-    mix = _mixture_cached(model, int(n), float(a_n), variant, eta)
-    return mix.density(y)
+    return _mixture_cached(model, int(n), float(a_n), variant, eta).density(y)
 
 
 def window_tail_masses(model: DensityModel, n: int, a_n: float, eta: float | None = None) -> tuple[float, float]:
@@ -207,29 +198,26 @@ def window_tail_masses(model: DensityModel, n: int, a_n: float, eta: float | Non
 
     Returns (log P1, log P2) where P1 integrates exp(sum_density) over
     [a_n, a_n + eta] and P2 over [a_n + eta, infinity).  The mixture
-    construction is sound when P2 is negligible against P1.
+    construction is sound when P2 is negligible against P1.  P1 is the window
+    mass of the cached tilted mixture; P2 is integrated over t >= t_e.
     """
-    eta = eta_window(model, n, a_n) if eta is None else float(eta)
-    u01, w01 = np.polynomial.legendre.leggauss(32)
-    u = 0.5 * (u01 + 1.0)
-    w = 0.5 * w01
-    taus = a_n + eta * u**2
-    jac = 2.0 * eta * u
-    logs = np.array([sum_density(model, n, float(tau)) for tau in taus])
-    logs += np.log(jac * w)
-    top = np.max(logs)
-    log_p1 = float(top + math.log(np.sum(np.exp(logs - top))))
+    mix = _mixture_cached(model, int(n), float(a_n), "tilted", eta)
+    const = 0.5 * math.log(n) - 0.5 * _LOG_2PI
+    log_p1 = const - n * mix.I_a + mix.log_norm
 
-    edge = a_n + eta
-    t_edge = solve_tilt_cached(model, edge).t
-    scale = max(1.0 / (n * t_edge), 1e-12)
-    # the integrand decays like exp(-n t (tau - edge)); a coarse panel scheme
-    # resolves the ratio P2/P1 to far more digits than it needs
+    def log_f(ts):
+        tps = [tilt_moments(model, t) for t in ts.tolist()]
+        return np.array([const - n * (q.a * q.t - q.log_phi) + 0.5 * math.log(q.s2) for q in tps])
+
+    # with d tau = s^2 dt the integrand decays like exp(-n t_e s_e^2 (t - t_e));
+    # a coarse panel scheme resolves the ratio P2/P1 to far more digits than
+    # it needs
+    te = mix.tp_end
     res = quad.log_integral(
-        lambda tau: np.array([sum_density(model, n, float(v)) for v in np.atleast_1d(tau)]),
-        center=edge,
-        scale=scale,
-        lo=edge,
+        log_f,
+        center=mix.t_end,
+        scale=1.0 / (n * te.t * te.s2),
+        lo=mix.t_end,
         rel_tol=1e-8,
         order=8,
         growth=2.0,

@@ -74,7 +74,7 @@ def classify_regime(
 ) -> Regime:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n!r}")
-    tp = solve_tilt(model, float(a_n))
+    tp = solve_tilt_cached(model, float(a_n))
     ratio = a_n / (tp.s * math.sqrt(n))
     if ratio < theta_lo:
         kind = "moderate"

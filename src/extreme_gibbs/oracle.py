@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -202,7 +203,8 @@ class ConvolutionTable:
     lock: two threads that compute the same power store equal arrays.
     """
 
-    def __init__(self, base: GridDensity):
+    def __init__(self, base: GridDensity, tp: TiltParams | None = None):
+        self.tp = tp  # the tilt the base density was taken at, if any
         self._powers: dict[int, GridDensity] = {1: base}
 
     def power(self, j: int) -> GridDensity:
@@ -256,33 +258,35 @@ def _tilted_tail_mass(model: DensityModel, tp: TiltParams, lo: float, hi: float)
     return total
 
 
-@lru_cache(maxsize=16)
-def _tilted_table(model: DensityModel, a_n: float, step: float, pad: float) -> tuple[TiltParams, ConvolutionTable]:
-    """Tilt at level a_n and the convolution table of the tilted density.
-
-    The oracles of every n at one level share the result.
-    """
-    tp = solve_tilt(model, a_n)
-    if tp.t < 0.0:
-        # below-mean levels are not rare events; an upward-reweighted
-        # tilted grid would amplify convolution noise, so use the raw
-        # density (tilt zero) instead - the factorization is invariant
-        tp = tilt_moments(model, 0.0)
-    lo = max(model.support_lo, tp.a - pad * tp.s)
-    hi = tp.a + pad * tp.s
-    base = discretize(
-        lambda x: tilted_density(model, tp, x),
-        lo,
-        hi,
-        step,
-        clipped_mass=_tilted_tail_mass(model, tp, lo, hi),
-    )
-    return tp, ConvolutionTable(base)
-
-
-# Two oracles built at once for one level must get the same table; the lock
-# covers the base grid only, never a convolution.
+# Tables by (model, a_n, step, pad), alive while an oracle holds one, so live
+# oracles at one level share a table however many levels were built since.
+# The lock gives oracles built at once one table; it never covers a convolution.
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _TABLE_LOCK = threading.Lock()
+
+
+def _tilted_table(model: DensityModel, a_n: float, step: float, pad: float) -> ConvolutionTable:
+    """The convolution table of the tilted density at level a_n; its ``tp`` is the tilt."""
+    with _TABLE_LOCK:
+        table = _TABLES.get((model, a_n, step, pad))
+        if table is None:
+            tp = solve_tilt(model, a_n)
+            if tp.t < 0.0:
+                # below-mean levels are not rare events; an upward-reweighted
+                # tilted grid would amplify convolution noise, so use the raw
+                # density (tilt zero) instead - the factorization is invariant
+                tp = tilt_moments(model, 0.0)
+            lo = max(model.support_lo, tp.a - pad * tp.s)
+            hi = tp.a + pad * tp.s
+            base = discretize(
+                lambda x: tilted_density(model, tp, x),
+                lo,
+                hi,
+                step,
+                clipped_mass=_tilted_tail_mass(model, tp, lo, hi),
+            )
+            table = _TABLES[model, a_n, step, pad] = ConvolutionTable(base, tp)
+    return table
 
 
 class ConditionalOracle:
@@ -308,8 +312,8 @@ class ConditionalOracle:
         self.n = int(n)
         self.a_n = float(a_n)
         self.step = float(step)
-        with _TABLE_LOCK:
-            self.tp, self.table = _tilted_table(model, self.a_n, self.step, float(pad))
+        self.table = _tilted_table(model, self.a_n, self.step, float(pad))
+        self.tp = self.table.tp
         self._suffix_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- point conditionals ---------------------------------------------------

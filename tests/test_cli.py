@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extreme_gibbs
-from extreme_gibbs import oracle
-from extreme_gibbs.cli import _config_from_args, build_parser, main
+from extreme_gibbs.cli import _config_from_args, _write_table, build_parser, main
 from extreme_gibbs.config import _FIELDS, AGrid, ARule, ApproxReport, ExperimentConfig, fmt17
 from extreme_gibbs.errors import ConfigError
 
@@ -78,6 +77,15 @@ class TestConfig:
     def test_fmt17_round_trips(self):
         for x in (math.pi, 1.0 / 3.0, 2.0**-40, 123456.789):
             assert float(fmt17(x)) == x
+
+    def test_float_array_rows_write_the_bytes_of_fmt17(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e-300]
+        mags = np.geomspace(1e-300, 1e300, 600) * np.resize([1.0, -1.0, 1.0 / 3.0], 600)
+        rows = np.concatenate([special, mags]).reshape(-1, 3)
+        header = ["y", "exact", "approx"]
+        _write_table(str(tmp_path / "array.csv"), header, rows, "csv")
+        _write_table(str(tmp_path / "cells.csv"), header, [list(r) for r in rows], "csv")
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 class TestCliCommands:
@@ -427,6 +435,17 @@ class TestInputErrors:
         cfg.write_text(text)
         assert _run(["tilt", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys) == (2, [line])
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("out", "v#x"), ("out", "v\nx"), ("out", "v\rx"), ("model", "weibull:k=2#x")],
+    )
+    def test_value_that_cannot_round_trip(self, tmp_path, capsys, monkeypatch, key, value):
+        # canonical_text writes each value on one line, where '#' opens a comment
+        monkeypatch.chdir(tmp_path)
+        line = f"config error: {key} must not contain '#' or a line break: {value!r}"
+        assert _run(["validate", _flag(key), value], capsys) == (2, [line])
+        assert list(tmp_path.iterdir()) == []
+
 
 # one good and one bad value text per config key; None where no text is invalid
 _FIELD_VALUES = {
@@ -593,9 +612,6 @@ def test_fuzzed_inputs_end_in_one_line(invocation):
                 code = main(argv)
         finally:
             os.chdir(cwd)
-            # a cached oracle pins its convolution table after the table cache
-            # drops it, which would split the tables that later tests expect shared
-            oracle.get_oracle.cache_clear()
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

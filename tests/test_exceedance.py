@@ -1,6 +1,8 @@
 """Rate function, saddlepoint tail formulas, and the exceedance mixture."""
 
+import collections
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from scipy.integrate import quad as sp_quad
 from scipy.special import erf
 from scipy.stats import norm
 
+from extreme_gibbs import exceedance, oracle, quad, tilt
+from extreme_gibbs.cli import main
 from extreme_gibbs.errors import DomainError
 from extreme_gibbs.exceedance import (
     ExceedanceMixture,
@@ -21,7 +25,8 @@ from extreme_gibbs.exceedance import (
     window_tail_masses,
 )
 from extreme_gibbs.oracle import ConditionalOracle, get_oracle, tv_distance
-from extreme_gibbs.tilt import solve_tilt, tilt_moments, tilted_density
+from extreme_gibbs.gibbs import fast_growth_params, log_fast_growth
+from extreme_gibbs.tilt import log_tilted_density, solve_tilt, solve_tilt_cached, tilt_moments, tilted_density
 
 
 class TestRateFunction:
@@ -181,3 +186,133 @@ class TestWindowMasses:
     def test_mass_ratio_shrinks_with_n(self, weibull2):
         ratios = [math.exp(np.diff(window_tail_masses(weibull2, n, 2.0))[0]) for n in (8, 32)]
         assert ratios[1] < ratios[0]
+
+
+# -- the window over t against the window over tau ------------------------------
+
+
+def _tau_node_mixture(model, n, a_n, variant, rtol=1e-12):
+    """The mixture as it was built over levels: one Newton solve per node tau.
+
+    Returns (log_norm, raw_prefactor, log_density) for the reference window.
+    """
+    tp = solve_tilt(model, a_n, rtol=rtol)
+    eta = eta_window(model, n, a_n)
+    u01, w01 = np.polynomial.legendre.leggauss(32)
+    u, w = 0.5 * (u01 + 1.0), 0.5 * w01
+    taus = a_n + eta * u**2
+    I_a = a_n * tp.t - tp.log_phi
+    tps = [solve_tilt(model, float(tau), rtol=rtol) for tau in taus]
+    log_w = np.array([-n * (tau * q.t - q.log_phi - I_a) - math.log(q.s) for tau, q in zip(taus, tps)])
+    log_w += np.log(2.0 * eta * u * w)
+    log_norm = float(np.logaddexp.reduce(log_w))
+
+    def log_density(ys):
+        if variant == "tilted":
+            comps = [log_tilted_density(model, q, ys) for q in tps]
+        else:
+            comps = [log_fast_growth(fast_growth_params(model, n, float(tau), tp=q), model, ys) for tau, q in zip(taus, tps)]
+        return np.logaddexp.reduce(log_w[:, None] - log_norm + np.array(comps), axis=0)
+
+    return log_norm, math.exp(math.log(tp.t * tp.s) + log_norm), log_density
+
+
+def _tau_node_window_masses(model, n, a_n):
+    """(log P1, log P2) from sum_density over levels, as before the move to t."""
+    eta = eta_window(model, n, a_n)
+    u01, w01 = np.polynomial.legendre.leggauss(32)
+    u, w = 0.5 * (u01 + 1.0), 0.5 * w01
+    logs = np.array([sum_density(model, n, float(tau)) for tau in a_n + eta * u**2])
+    log_p1 = float(np.logaddexp.reduce(logs + np.log(2.0 * eta * u * w)))
+    edge = a_n + eta
+    res = quad.log_integral(
+        lambda tau: np.array([sum_density(model, n, float(v)) for v in np.atleast_1d(tau)]),
+        center=edge,
+        scale=max(1.0 / (n * solve_tilt_cached(model, edge).t), 1e-12),
+        lo=edge,
+        rel_tol=1e-8,
+        order=8,
+        growth=2.0,
+        grow_after=2,
+        tail_pad=1,
+        max_panels=80,
+    )
+    return log_p1, res.log_value
+
+
+_WINDOW_CASES = [("weibull2", 2.0, 8), ("weibull2", 2.0, 64), ("exp_exp", 4.0, 16), ("exp_exp", 4.0, 64)]
+
+
+class TestWindowOverTilt:
+    """The t-node quadrature agrees with the tau-node one it replaced."""
+
+    @staticmethod
+    def _assert_matches(model, n, a, variant, reference):
+        ref_log_norm, ref_prefactor, ref_log_density = reference
+        mix = ExceedanceMixture(model, n, a, variant=variant)
+        s = mix.tp.s
+        ys = np.linspace(max(model.support_lo, a - 10 * s), a + 10 * s, 801)
+        want = np.exp(ref_log_density(ys))
+        got = mix.density(ys)
+        core = want >= 1e-6 * want.max()
+        assert np.max(np.abs(got[core] - want[core]) / want[core]) <= 1e-12
+        assert mix.log_norm == pytest.approx(ref_log_norm, rel=1e-10)
+        assert mix.raw_prefactor == pytest.approx(ref_prefactor, rel=1e-10)
+
+    @pytest.mark.parametrize("fixture, a, n", _WINDOW_CASES)
+    @pytest.mark.parametrize("variant", ["tilted", "gaussian_modulated"])
+    def test_mixture_matches_tau_nodes(self, request, fixture, a, n, variant):
+        model = request.getfixturevalue(fixture)
+        self._assert_matches(model, n, a, variant, _tau_node_mixture(model, n, a, variant))
+
+    @pytest.mark.parametrize("variant", ["tilted", "gaussian_modulated"])
+    def test_fast_regime_matches_tightly_solved_levels(self, weibull2, variant):
+        # at n = 32, a = 16 a level node's solve residual (up to 1e-12 a)
+        # moves the curve of the old mixture by about 3e-12, so the reference
+        # solves its levels to 1e-15
+        reference = _tau_node_mixture(weibull2, 32, 16.0, variant, rtol=1e-15)
+        self._assert_matches(weibull2, 32, 16.0, variant, reference)
+
+    @pytest.mark.parametrize("fixture, a, n", _WINDOW_CASES)
+    def test_window_masses_match_tau_nodes(self, request, fixture, a, n):
+        model = request.getfixturevalue(fixture)
+        ref_p1, ref_p2 = _tau_node_window_masses(model, n, a)
+        lp1, lp2 = window_tail_masses(model, n, a)
+        assert lp1 == pytest.approx(ref_p1, rel=1e-10)
+        assert math.exp(lp2 - lp1) == pytest.approx(math.exp(ref_p2 - ref_p1), rel=1e-10)
+
+    def test_one_exceed_row_needs_three_solves_and_one_moment_per_node(self, tmp_path, monkeypatch):
+        counts = collections.Counter()
+        node_ts = []  # every t at which the exceedance layer takes moments
+        integrals = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def node_moments(model, t):
+            node_ts.append(t)
+            return tilt_moments(model, t)
+
+        def recorded_integral(*args, **kwargs):
+            res = log_integral(*args, **kwargs)
+            integrals.append(res.nodes)
+            return res
+
+        log_integral = quad.log_integral
+        monkeypatch.setattr(tilt, "solve_tilt", counted("solve_tilt", tilt.solve_tilt))
+        monkeypatch.setattr(oracle, "solve_tilt", counted("solve_tilt", oracle.solve_tilt))
+        monkeypatch.setattr(exceedance, "sum_density", counted("sum_density", exceedance.sum_density))
+        monkeypatch.setattr(exceedance, "tilt_moments", node_moments)
+        monkeypatch.setattr(quad, "log_integral", recorded_integral)
+        assert main(["exceed", "--n", "16", "--a", "fixed:2", "--out", str(tmp_path)]) == 0
+        assert counts["solve_tilt"] <= 3
+        assert counts["sum_density"] == 0
+        # 32 window nodes, then the nodes of the one tail integral, each once
+        seen = set(node_ts)
+        tails = [nodes for nodes in integrals if set(nodes.tolist()) <= seen]
+        assert len(tails) == 1
+        assert len(node_ts) == len(seen) == 32 + tails[0].size

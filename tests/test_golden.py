@@ -15,6 +15,11 @@ cdf comes from ``math.erfc``, so the digests hold with or without scipy
 installed.  The ``validate`` digest was re-recorded when the stdlib log of
 the normal cdf replaced ``scipy.special.log_ndtr``: its
 ``half_gaussian_log_mgf_closed`` measurement moved from 4.4e-16 to 1.1e-16.
+The ``exceed`` digest was re-recorded when the exceedance window moved from
+level nodes to tilt nodes: the curves moved by at most 1e-12 relative where
+they are at least 1e-6 of their peak, and ``raw_prefactor`` and
+``p2_over_p1`` by at most 1e-10 relative (``tests/test_exceedance.py``,
+``TestWindowOverTilt``).
 """
 
 import hashlib
@@ -45,9 +50,9 @@ DIGESTS = {
         "gibbs.csv": "265086320020187a8add225014ca75336761216ef1271dcbcf900236c9212cd8",
     },
     "exceed": {
-        "curve_exceed_n16.csv": "727725e9b050580fdfdd16eb5df7f4dda7b865e071ec4bafcb26ea0b72460b77",
-        "curve_exceed_n8.csv": "53c3977d63cb2ec7d57cee202347a0aa57e1e96fe3f4d047b7a972a75ad9a9dd",
-        "exceed.csv": "1c6244f02ae4406fc7408b629b3eef6cbaf2d560289537b34fc7688325906817",
+        "curve_exceed_n16.csv": "b7bb88bef3cd1539dd7135cc85c8e8761044918c16b81c0dbf01f8b3d64433fc",
+        "curve_exceed_n8.csv": "da9b7381b1c349616d91e7e7e300608c78cc15804921dc969b1cb88623eeb15a",
+        "exceed.csv": "086a40b7785982dc9fb2328c4610be27fb2d679862aedf2702a68a188ad0d805",
     },
     "validate": {
         "validate.json": "ca3a98d63329a104318dfdcf92d3a06061d73c9b46543acbc70d664e59a0df9e",

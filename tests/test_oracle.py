@@ -207,6 +207,14 @@ class TestSharedTables:
     def test_levels_share_one_table_across_n(self, weibull2):
         assert get_oracle(weibull2, 32, 3.0).table is get_oracle(weibull2, 128, 3.0).table
 
+    def test_live_oracle_keeps_its_table_past_other_levels(self):
+        # seventeen other tables are built between two lookups at one level
+        model = make_weibull(2.0)
+        first = get_oracle(model, 16, 3.0)
+        others = [ConditionalOracle(model, 8, 3.0 + 0.01 * i, step=0.02) for i in range(1, 18)]
+        assert len({id(orc.table) for orc in others}) == 17
+        assert get_oracle(model, 32, 3.0).table is first.table
+
     def test_threaded_build_matches_serial(self):
         # the powers are computed on first use, so each worker convolves;
         # more workers than cores and a short switch interval mix their steps
