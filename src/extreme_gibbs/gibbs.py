@@ -65,20 +65,14 @@ class Regime:
     tp: TiltParams
 
 
-def classify_regime(
-    model: DensityModel,
-    n: int,
-    a_n: float,
-    theta_lo: float = REGIME_THETA_LO,
-    theta_hi: float = REGIME_THETA_HI,
-) -> Regime:
+def classify_regime(model: DensityModel, n: int, a_n: float) -> Regime:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n!r}")
     tp = solve_tilt_cached(model, float(a_n))
     ratio = a_n / (tp.s * math.sqrt(n))
-    if ratio < theta_lo:
+    if ratio < REGIME_THETA_LO:
         kind = "moderate"
-    elif ratio <= theta_hi:
+    elif ratio <= REGIME_THETA_HI:
         kind = "fast"
     else:
         kind = "out_of_scope"
@@ -99,7 +93,7 @@ def _warn_if_fast(model: DensityModel, n: int, a_n: float, tp: TiltParams) -> No
 def tilted_approx(model: DensityModel, n: int, a_n: float, y, tp: TiltParams | None = None):
     """Tilted-density approximation of X_1 given S_n = n a_n (moderate growth)."""
     if tp is None:
-        tp = solve_tilt(model, float(a_n))
+        tp = solve_tilt_cached(model, float(a_n))
     _warn_if_fast(model, n, a_n, tp)
     arr = np.asarray(y, dtype=float)
     out = np.exp(log_tilted_density(model, tp, arr))
@@ -175,7 +169,7 @@ def fast_growth_params(
     if n < 2:
         raise DomainError(f"need n >= 2, got {n!r}")
     if tp is None:
-        tp = solve_tilt(model, float(a_n))
+        tp = solve_tilt_cached(model, float(a_n))
     return _modulated_params(model, tp, int(n) - 1, a_n)
 
 

@@ -25,14 +25,14 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DomainError, NumericError, RangeError, ResourceError
 from .model import DensityModel
 from . import quad
-from .tilt import TiltParams, log_tilted_density, solve_tilt, tilt_moments, tilted_density
+from .tilt import TiltParams, log_tilted_density, solve_tilt_cached, tilt_moments, tilted_density
 
 __all__ = [
     "GridDensity",
@@ -102,18 +102,14 @@ class GridDensity:
         return float(np.trapezoid((xs - m) ** 2 * self.values, dx=self.step) / self.trapz_mass())
 
 
-def _model_tail_mass(model: DensityModel, lo: float, hi: float) -> float:
-    """Mass of the model outside [lo, hi], via log-space tail quadrature."""
+def _tail_mass(log_f, edge_scale, support_lo: float, lo: float, hi: float) -> float:
+    """Mass of exp(log_f) outside [lo, hi] by log-space tail quadrature;
+    ``edge_scale(x)`` is the panel scale at the edge x."""
     total = 0.0
-    if lo > model.support_lo:
-        res = quad.log_integral(
-            model._log_density_clipped, center=lo, scale=_edge_scale(model, lo),
-            lo=model.support_lo, hi=lo,
-        )
+    if lo > support_lo:
+        res = quad.log_integral(log_f, center=lo, scale=edge_scale(lo), lo=support_lo, hi=lo)
         total += math.exp(res.log_value)
-    res = quad.log_integral(
-        model._log_density_clipped, center=hi, scale=_edge_scale(model, hi), lo=hi
-    )
+    res = quad.log_integral(log_f, center=hi, scale=edge_scale(hi), lo=hi)
     total += math.exp(res.log_value)
     return total
 
@@ -145,7 +141,9 @@ def discretize(source, lo: float, hi: float, step: float, clipped_mass: float | 
     xs = lo + step * np.arange(n)
     if isinstance(source, DensityModel):
         vals = np.exp(source._log_density_clipped(xs))
-        clipped = _model_tail_mass(source, lo, xs[-1]) if clipped_mass is None else clipped_mass
+        clipped = clipped_mass
+        if clipped is None:
+            clipped = _tail_mass(source._log_density_clipped, partial(_edge_scale, source), source.support_lo, lo, xs[-1])
     else:
         vals = np.asarray(source(xs), dtype=float)
         if clipped_mass is None:
@@ -243,21 +241,6 @@ def _cell_log_integrals(x: np.ndarray, logf: np.ndarray) -> np.ndarray:
     return np.log(0.5 * step) + np.logaddexp(logf[:-1], logf[1:])
 
 
-def _tilted_tail_mass(model: DensityModel, tp: TiltParams, lo: float, hi: float) -> float:
-    """True mass of the tilted density outside [lo, hi], in log space."""
-
-    def log_pi(x):
-        return log_tilted_density(model, tp, np.asarray(x, dtype=float))
-
-    total = 0.0
-    if lo > model.support_lo:
-        res = quad.log_integral(log_pi, center=lo, scale=tp.s, lo=model.support_lo, hi=lo)
-        total += math.exp(res.log_value)
-    res = quad.log_integral(log_pi, center=hi, scale=tp.s, lo=hi)
-    total += math.exp(res.log_value)
-    return total
-
-
 # Tables by (model, a_n, step, pad), alive while an oracle holds one, so live
 # oracles at one level share a table however many levels were built since.
 # The lock gives oracles built at once one table; it never covers a convolution.
@@ -270,7 +253,7 @@ def _tilted_table(model: DensityModel, a_n: float, step: float, pad: float) -> C
     with _TABLE_LOCK:
         table = _TABLES.get((model, a_n, step, pad))
         if table is None:
-            tp = solve_tilt(model, a_n)
+            tp = solve_tilt_cached(model, a_n)
             if tp.t < 0.0:
                 # below-mean levels are not rare events; an upward-reweighted
                 # tilted grid would amplify convolution noise, so use the raw
@@ -283,7 +266,7 @@ def _tilted_table(model: DensityModel, a_n: float, step: float, pad: float) -> C
                 lo,
                 hi,
                 step,
-                clipped_mass=_tilted_tail_mass(model, tp, lo, hi),
+                clipped_mass=_tail_mass(partial(log_tilted_density, model, tp), lambda x: tp.s, model.support_lo, lo, hi),
             )
             table = _TABLES[model, a_n, step, pad] = ConvolutionTable(base, tp)
     return table
@@ -436,13 +419,18 @@ class McSample:
     tp: TiltParams
 
 
-def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None, n_nodes: int = 20001):
+# nodes of the sampler's inverse-CDF table, and proposal rows drawn per batch
+_CDF_NODES = 20001
+_MC_BATCH = 65536
+
+
+def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None):
     """Inverse-CDF sampler table for the tilted (or raw) density."""
     if tp is not None:
         s = tp.s
         lo = max(model.support_lo, tp.a - 14.0 * s)
         hi = tp.a + 14.0 * s
-        xs = np.linspace(lo, hi, n_nodes)
+        xs = np.linspace(lo, hi, _CDF_NODES)
         vals = np.exp(log_tilted_density(model, tp, xs))
     else:
         lo = model.support_lo
@@ -450,7 +438,7 @@ def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None, n_nodes: int 
         peak = float(np.max(model._log_density_clipped(np.linspace(lo, hi, 64))))
         while float(model._log_density_clipped(np.asarray([hi]))[0]) > peak - 80.0:
             hi = lo + 2.0 * (hi - lo)
-        xs = np.linspace(lo, hi, n_nodes)
+        xs = np.linspace(lo, hi, _CDF_NODES)
         vals = np.exp(model._log_density_clipped(xs))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
@@ -465,7 +453,6 @@ def mc_conditional_sample(
     n_draws: int,
     seed: int,
     proposal: str = "tilted",
-    batch: int = 65536,
 ) -> McSample:
     """Sample X_1 given |S_n / n - a_n| <= epsilon by accept/reject.
 
@@ -481,7 +468,7 @@ def mc_conditional_sample(
         raise DomainError("need at least one proposal")
     if proposal not in ("tilted", "raw"):
         raise DomainError(f"proposal must be 'tilted' or 'raw', got {proposal!r}")
-    tp = solve_tilt(model, float(a_n))
+    tp = solve_tilt_cached(model, float(a_n))
     xs, cdf = _inverse_cdf_table(model, tp if proposal == "tilted" else None)
 
     kept: list[np.ndarray] = []
@@ -489,7 +476,7 @@ def mc_conditional_sample(
     batch_index = 0
     n_acc = 0
     while done < n_draws:
-        rows = min(batch, n_draws - done)
+        rows = min(_MC_BATCH, n_draws - done)
         rng = np.random.default_rng([seed, batch_index])
         u = rng.random((rows, n))
         draws = np.interp(u, cdf, xs)

@@ -83,7 +83,7 @@ class TiltParams:
         return self.mu3 / s3
 
 
-def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12, f=None):
+def _mgf_quad(model: DensityModel, t: float, f=None):
     """Quadrature of e^(t f(x)) p(x), and psi, psi', psi'' at its centre (NaN if undefined)."""
 
     def log_f(x):
@@ -106,7 +106,7 @@ def _mgf_quad(model: DensityModel, t: float, rel_tol: float = 1e-12, f=None):
             pass
     if center is None:
         center, scale = quad.find_peak(log_f, lo=model.support_lo, scale_hint=1.0)
-    res = quad.log_integral(log_f, center=center, scale=scale, lo=model.support_lo, rel_tol=rel_tol)
+    res = quad.log_integral(log_f, center=center, scale=scale, lo=model.support_lo)
     if not np.isfinite(res.log_value):
         raise NumericError(f"mgf integral did not evaluate at t={t!r}")
     return res, psi
