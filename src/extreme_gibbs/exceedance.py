@@ -149,6 +149,8 @@ class ExceedanceMixture:
         self.a_n = float(a_n)
         self.variant = variant
         self.tp = solve_tilt_cached(model, float(a_n))
+        if not (self.tp.t > 0):
+            raise DomainError("window needs a level above the mean (t > 0)")
         self.eta = eta_window(model, n, a_n) if eta is None else float(eta)
         if not (self.eta > 0):
             raise DomainError("window width must be positive")

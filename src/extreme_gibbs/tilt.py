@@ -88,8 +88,9 @@ def _mgf_quad(model: DensityModel, t: float, f=None):
 
     def log_f(x):
         arr = np.asarray(x, dtype=float)
-        stat = arr if f is None else np.asarray(f(arr), dtype=float)
-        return t * stat + model._log_density_clipped(arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # t f(x) beyond float range is inf, not a warning
+            stat = arr if f is None else np.asarray(f(arr), dtype=float)
+            return t * stat + model._log_density_clipped(arr)
 
     # the inverse slope locates the peak of e^(t x) p(x) only for the identity
     center = scale = None

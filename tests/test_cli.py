@@ -392,11 +392,12 @@ class TestInputErrors:
             ["config error: a tabulated model ('table = ...') needs scipy, which is not installed"],
         )
 
-    def test_float_overflow_at_a_huge_level_is_a_row_error(self, tmp_path, capsys):
+    def test_float_overflow_at_a_huge_level_is_a_row_error(self, tmp_path, capsys, recwarn):
         assert main(["tilt", "--a-grid", "1:1e300:3", "--out", str(tmp_path)]) == 0
         statuses = [row.split(",")[-1] for row in (tmp_path / "tilt.csv").read_text().splitlines()[2:]]
         assert statuses[0] == "ok"
         assert all(s.startswith("error:") for s in statuses[1:])
+        assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_float_overflow_and_unwritable_out_end_in_one_line(self, tmp_path, capsys):
         code, lines = _run(["gibbs", "--n", "4", "--a", "fixed:1e150", "--out", str(tmp_path)], capsys)

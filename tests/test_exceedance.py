@@ -178,6 +178,17 @@ class TestMixture:
         val = exceedance_approx(weibull2, 16, 2.0, 2.0)
         assert val == pytest.approx(ExceedanceMixture(weibull2, 16, 2.0).density(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [None, 0.1])
+    def test_level_below_mean_is_a_domain_error(self, weibull2, eta):
+        # an explicit eta skips eta_window's check; the mixture makes the same one
+        for call in (
+            lambda: ExceedanceMixture(weibull2, 16, 0.5, eta=eta),
+            lambda: exceedance_approx(weibull2, 16, 0.5, 1.0, eta=eta),
+            lambda: window_tail_masses(weibull2, 16, 0.5, eta=eta),
+        ):
+            with pytest.raises(DomainError, match="above the mean"):
+                call()
+
 
 class TestWindowMasses:
     def test_beyond_window_mass_is_negligible(self, weibull2):
