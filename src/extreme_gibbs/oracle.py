@@ -22,6 +22,7 @@ instead of an exponentially small one.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -419,9 +420,14 @@ class McSample:
     tp: TiltParams
 
 
-# nodes of the sampler's inverse-CDF table, and proposal rows drawn per batch
+# nodes of the sampler's inverse-CDF table, proposal rows drawn per batch
+# (one random stream each), draws looked up per chunk (1 MB temporaries,
+# whatever the batch), and equal-probability cells of the guide table (a
+# power of two, so u * _GUIDE_CELLS is exact)
 _CDF_NODES = 20001
 _MC_BATCH = 65536
+_MC_CHUNK = 1 << 17
+_GUIDE_CELLS = 1 << 18
 
 
 def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None):
@@ -445,6 +451,56 @@ def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None):
     return xs, cdf
 
 
+class _GuideTable:
+    """``np.interp(u, cdf, xs)`` for u in [0, 1), bit for bit, by indexed search.
+
+    Chen & Asau (1974); Devroye (1986), ch. III.  u is cut into G cells of
+    width 1/G (cdf runs from 0 to 1).  Cell c stores the last node j with
+    ``cdf[j] <= c/G`` (exact, because ``cdf * G`` is) unless a node lies in
+    (c/G, (c+1)/G].  Then every u in the cell has ``cdf[j] <= u <
+    cdf[j+1]``: the interval ``np.interp`` finds.  And ``cdf[j+1] - cdf[j] >
+    1/G``, so the slope is finite and positive and the lookup is numpy's own
+    ``slope*(u - cdf[j]) + xs[j]``: numpy's NaN retry never fires, and at an
+    exact hit the product is +0.0, which leaves ``xs[j]`` unchanged
+    (linspace makes no -0.0).  A cell that holds a node (about 2% of draws
+    at G = 2^18) stores the sentinel ``len(cdf) - 1``, whose slope is 0, and
+    its draws go to ``np.interp`` itself.
+    """
+
+    def __init__(self, xs: np.ndarray, cdf: np.ndarray):
+        self.xs, self.cdf = xs, cdf
+        self.miss = len(cdf) - 1
+        with np.errstate(divide="ignore", over="ignore"):  # (near-)flat cdf runs: never looked up
+            self.slopes = np.append(np.diff(xs) / np.diff(cdf), 0.0)
+        # the last node with cdf <= c/G is the last with first <= c; the
+        # smallest index type keeps the table in cache (uint16: 512 kB)
+        first = np.ceil(cdf * _GUIDE_CELLS).astype(np.intp)
+        nodes = np.arange(len(cdf), dtype=np.min_scalar_type(self.miss))
+        self.code = np.repeat(nodes, np.diff(first, append=_GUIDE_CELLS))
+        self.code[first[first > 0] - 1] = self.miss  # cells that hold a node
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        j = self.code[(u * _GUIDE_CELLS).astype(np.intp)].astype(np.intp)
+        out = self.cdf[j]  # slopes[j]*(u - cdf[j]) + xs[j], in place
+        np.subtract(u, out, out=out)
+        out *= self.slopes[j]
+        out += self.xs[j]
+        miss = j == self.miss
+        out[miss] = np.interp(u[miss], self.cdf, self.xs)
+        return out
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; DomainError otherwise."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def mc_conditional_sample(
     model: DensityModel,
     n: int,
@@ -462,30 +518,27 @@ def mc_conditional_sample(
     ``(seed, batch_index)`` so identical seeds give bit-identical output and
     batches are independent.
     """
+    n = _count("n", n, 1)
+    n_draws = _count("n_draws", n_draws, 1)
+    seed = _count("seed", seed, 0)
     if not (epsilon > 0):
         raise DomainError("epsilon must be positive")
-    if n_draws < 1:
-        raise DomainError("need at least one proposal")
     if proposal not in ("tilted", "raw"):
         raise DomainError(f"proposal must be 'tilted' or 'raw', got {proposal!r}")
     tp = solve_tilt_cached(model, float(a_n))
-    xs, cdf = _inverse_cdf_table(model, tp if proposal == "tilted" else None)
+    inverse_cdf = _GuideTable(*_inverse_cdf_table(model, tp if proposal == "tilted" else None))
 
     kept: list[np.ndarray] = []
-    done = 0
-    batch_index = 0
     n_acc = 0
-    while done < n_draws:
-        rows = min(_MC_BATCH, n_draws - done)
-        rng = np.random.default_rng([seed, batch_index])
-        u = rng.random((rows, n))
-        draws = np.interp(u, cdf, xs)
-        means = draws.mean(axis=1)
-        mask = np.abs(means - a_n) <= epsilon
-        kept.append(draws[mask, 0])
-        n_acc += int(mask.sum())
-        done += rows
-        batch_index += 1
+    chunk = max(1, _MC_CHUNK // n)
+    for start in range(0, n_draws, _MC_BATCH):
+        rows = min(_MC_BATCH, n_draws - start)
+        rng = np.random.default_rng([seed, start // _MC_BATCH])
+        for done in range(0, rows, chunk):
+            draws = inverse_cdf(rng.random((min(chunk, rows - done), n)))
+            mask = np.abs(draws.mean(axis=1) - a_n) <= epsilon
+            kept.append(draws[mask, 0])
+            n_acc += int(mask.sum())
 
     rate = n_acc / n_draws
     if rate < 1e-6 and proposal == "tilted":
