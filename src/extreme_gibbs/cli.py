@@ -286,7 +286,7 @@ def run_validation(cfg: ExperimentConfig) -> dict:
         errs = [abs(model.h(model.psi(t)) - t) / t for t in (1.0, 10.0, 100.0, 1000.0) if t >= model.h_min]
         record(f"h_inverse_roundtrip_{key}", max(errs), 1e-10)
         m0 = tilt.tilt_moments(model, 0.0).a
-        hi = {"weibull2": 1e3, "half_gaussian": 1e3, "exp_exponential": 25.0}[key]
+        hi = {"weibull2": 1e8, "half_gaussian": 1e3, "exp_exponential": 300.0}[key]
         rel = max(
             abs(tilt.solve_tilt(model, a).a - a) / a for a in np.geomspace(2 * m0, hi, 6)
         )

@@ -1,4 +1,6 @@
-"""Semantic exceptions and warnings shared across the package."""
+"""Semantic exceptions and warnings shared across the package, and the count check."""
+
+import operator
 
 
 class ExtremeGibbsError(Exception):
@@ -27,3 +29,14 @@ class ConfigError(ExtremeGibbsError, ValueError):
 
 class RegimeWarning(UserWarning):
     """An approximation is being evaluated outside its nominal growth regime."""
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; DomainError otherwise."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quad
-from .errors import DomainError, NumericError, RegimeWarning
+from .errors import DomainError, NumericError, RegimeWarning, _count
 from .model import DensityModel, _invert_slope
 from .tilt import TiltParams, log_tilted_density, solve_tilt, solve_tilt_cached
 
@@ -66,8 +66,7 @@ class Regime:
 
 
 def classify_regime(model: DensityModel, n: int, a_n: float) -> Regime:
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n!r}")
+    n = _count("n", n, 2)
     tp = solve_tilt_cached(model, float(a_n))
     ratio = a_n / (tp.s * math.sqrt(n))
     if ratio < REGIME_THETA_LO:
@@ -92,6 +91,7 @@ def _warn_if_fast(model: DensityModel, n: int, a_n: float, tp: TiltParams) -> No
 
 def tilted_approx(model: DensityModel, n: int, a_n: float, y, tp: TiltParams | None = None):
     """Tilted-density approximation of X_1 given S_n = n a_n (moderate growth)."""
+    n = _count("n", n, 2)
     if tp is None:
         tp = solve_tilt_cached(model, float(a_n))
     _warn_if_fast(model, n, a_n, tp)
@@ -166,11 +166,10 @@ def fast_growth_params(
     model: DensityModel, n: int, a_n: float, tp: TiltParams | None = None
 ) -> FastGrowthParams:
     """Solve the tilt at a_n and assemble alpha, beta and the normalizer."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n!r}")
+    n = _count("n", n, 2)
     if tp is None:
         tp = solve_tilt_cached(model, float(a_n))
-    return _modulated_params(model, tp, int(n) - 1, a_n)
+    return _modulated_params(model, tp, n - 1, a_n)
 
 
 def log_fast_growth(params: FastGrowthParams, model: DensityModel, y) -> np.ndarray:
@@ -191,12 +190,14 @@ def fast_growth_approx(params: FastGrowthParams, model: DensityModel, y):
 # ---------------------------------------------------------------------------
 
 
-def _check_block(n: int, ys: np.ndarray) -> None:
+def _check_block(n: int, ys: np.ndarray) -> int:
+    n = _count("n", n, 2)
     k = len(ys)
     if k < 1:
         raise DomainError("block must contain at least one coordinate")
     if k > n // 4:
         raise DomainError(f"block length k={k} must satisfy k <= n/4 (n={n})")
+    return n
 
 
 def joint_moderate_approx(
@@ -210,7 +211,7 @@ def joint_moderate_approx(
     ``m_i = (n a_n - (y_1 + ... + y_i)) / (n - i)``.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    _check_block(n, ys)
+    n = _check_block(n, ys)
     if mode == "common_tilt":
         tp = solve_tilt_cached(model, float(a_n))
         return float(np.exp(np.sum(log_tilted_density(model, tp, ys))))
@@ -241,7 +242,7 @@ def joint_fast_approx(model: DensityModel, n: int, a_n: float, ys) -> float:
     exactly the failure of asymptotic independence at fast growth.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    _check_block(n, ys)
+    n = _check_block(n, ys)
     total = 0.0
     partial = 0.0
     for i, y in enumerate(ys, start=1):
@@ -282,6 +283,7 @@ def f_tilted_approx(
     exported ``identity`` delegates to the plain tilted machinery so the
     reduction is exact, not merely approximate.
     """
+    n = _count("n", n, 2)
     if variant not in ("tilted", "gaussian_modulated"):
         raise DomainError(f"unknown variant {variant!r}")
     if f is None or f is identity:
@@ -314,6 +316,7 @@ def z_statistics(model: DensityModel, n: int, a_n: float, ys) -> np.ndarray:
     ``z_i = (m_i - y_(i+1)) / (s_i sqrt(n - i - 1))`` for i = 0..k-1.
     All z_i vanish when every coordinate equals a_n.
     """
+    n = _count("n", n, 2)
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     k = len(ys)
     if k >= n - 1:

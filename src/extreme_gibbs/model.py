@@ -48,6 +48,25 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Taylor coefficients, highest order first, of e^z - 1 - z and log(1 + r) - r:
+# below 0.1 in magnitude each Horner sum is good to 1e-17 relative
+_EXPM1X = tuple(1.0 / math.factorial(n) for n in range(13, 1, -1))
+_LOG1PMX = tuple((-1.0) ** (n + 1) / n for n in range(18, 1, -1))
+
+
+def _series(coeffs: tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    acc = coeffs[0] * z
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z
+    return (acc + coeffs[-1]) * (z * z)
+
+
+def _expm1x(z: np.ndarray) -> np.ndarray:
+    """e^z - 1 - z without cancellation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.abs(z) < 0.1, _series(_EXPM1X, z), np.expm1(z) - z)
+
 
 def _log_ndtr(t: float) -> float:
     """log Phi(t) for the standard normal cdf, accurate to about 1e-13 relative."""
@@ -121,6 +140,7 @@ class DensityModel:
     probes: tuple[float, ...]
     closed_forms: ClosedForms | None = None
     psi_closed: Callable | None = None
+    g_remainder: Callable | None = None
 
     # -- density evaluation ------------------------------------------------
 
@@ -144,6 +164,15 @@ class DensityModel:
                 vals = -(self.g(arr[ok]) - self.q(arr[ok])) + self.log_norm
             out[ok] = vals
         return out
+
+    def remainder(self, x0: float, d) -> np.ndarray:
+        """R(x0, d) = g(x0 + d) - g(x0) - h(x0) d over an array d: in a form that
+        does not cancel for the built-ins, as the plain difference otherwise."""
+        d = np.asarray(d, dtype=float)
+        if self.g_remainder is not None:
+            return self.g_remainder(x0, d)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self.g(x0 + d) - self.g(x0) - self.h(x0) * d
 
     def density(self, x):
         arr = np.asarray(x, dtype=float)
@@ -203,13 +232,25 @@ def make_weibull(k: float) -> DensityModel:
         with np.errstate(divide="ignore"):
             return k * x ** (k - 1.0) - km1 / x
 
+    # float64 arrays, so that a level near 0 gives inf, not ZeroDivisionError
     def h_prime(x):
-        with np.errstate(divide="ignore"):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
             return k * km1 * x ** (k - 2.0) + km1 / x**2
 
     def h_second(x):
-        with np.errstate(divide="ignore"):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return k * km1 * (k - 2.0) * x ** (k - 3.0) - 2.0 * km1 / x**3
+
+    def g_remainder(x0, d):
+        # x0^k [expm1x(k log1p r) + k log1pmx(r)] - (k-1) log1pmx(r), r = d/x0
+        r = d / x0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lp = np.log1p(r)
+            lm = np.where(np.abs(r) < 0.1, _series(_LOG1PMX, r), lp - r)
+            out = x0**k * (_expm1x(k * lp) + k * lm) - km1 * lm
+        return np.where(r > -1.0, out, np.inf)
 
     def eps(x):
         return k * km1 / (k * np.asarray(x, dtype=float) ** k - km1)
@@ -229,6 +270,7 @@ def make_weibull(k: float) -> DensityModel:
         h_zero=(km1 / k) ** (1.0 / k),
         h_min=-np.inf,
         probes=(10.0, 1e2, 1e3, 1e4),
+        g_remainder=g_remainder,
     )
 
 
@@ -264,6 +306,7 @@ def make_exp_exponential() -> DensityModel:
         h_min=math.exp(-1.0),
         probes=(5.0, 10.0, 1e2, 300.0),
         psi_closed=lambda t: np.log(t) + 1.0,
+        g_remainder=lambda x0, d: math.exp(x0 - 1.0) * _expm1x(d),
     )
 
 
@@ -314,6 +357,7 @@ def make_half_gaussian() -> DensityModel:
         probes=(10.0, 1e2, 1e3, 1e4),
         closed_forms=closed,
         psi_closed=lambda t: float(t),
+        g_remainder=lambda x0, d: 0.5 * d * d,
     )
 
 

@@ -22,7 +22,6 @@ instead of an exponentially small one.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError, NumericError, RangeError, ResourceError
+from .errors import DomainError, NumericError, RangeError, ResourceError, _count
 from .model import DensityModel
 from . import quad
 from .tilt import TiltParams, log_tilted_density, solve_tilt_cached, tilt_moments, tilted_density
@@ -105,7 +104,8 @@ class GridDensity:
 
 def _tail_mass(log_f, edge_scale, support_lo: float, lo: float, hi: float) -> float:
     """Mass of exp(log_f) outside [lo, hi] by log-space tail quadrature;
-    ``edge_scale(x)`` is the panel scale at the edge x."""
+    ``edge_scale(x)`` is the integrand's width at the edge x, which the
+    quadrature takes for its peak."""
     total = 0.0
     if lo > support_lo:
         res = quad.log_integral(log_f, center=lo, scale=edge_scale(lo), lo=support_lo, hi=lo)
@@ -290,10 +290,8 @@ class ConditionalOracle:
         step: float = 1e-3,
         pad: float = 14.0,
     ):
-        if n < 2:
-            raise DomainError(f"need n >= 2, got {n!r}")
         self.model = model
-        self.n = int(n)
+        self.n = _count("n", n, 2)
         self.a_n = float(a_n)
         self.step = float(step)
         self.table = _tilted_table(model, self.a_n, self.step, float(pad))
@@ -490,17 +488,6 @@ class _GuideTable:
         return out
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; DomainError otherwise."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 def mc_conditional_sample(
     model: DensityModel,
     n: int,
@@ -528,8 +515,8 @@ def mc_conditional_sample(
     tp = solve_tilt_cached(model, float(a_n))
     inverse_cdf = _GuideTable(*_inverse_cdf_table(model, tp if proposal == "tilted" else None))
 
-    kept: list[np.ndarray] = []
-    n_acc = 0
+    # accepted draws, grown in place (realloc) chunk by chunk so that they are held once
+    x1 = np.empty(0)
     chunk = max(1, _MC_CHUNK // n)
     for start in range(0, n_draws, _MC_BATCH):
         rows = min(_MC_BATCH, n_draws - start)
@@ -537,17 +524,18 @@ def mc_conditional_sample(
         for done in range(0, rows, chunk):
             draws = inverse_cdf(rng.random((min(chunk, rows - done), n)))
             mask = np.abs(draws.mean(axis=1) - a_n) <= epsilon
-            kept.append(draws[mask, 0])
-            n_acc += int(mask.sum())
+            accepted = draws[mask, 0]
+            x1.resize(x1.size + accepted.size, refcheck=False)
+            x1[x1.size - accepted.size :] = accepted
 
-    rate = n_acc / n_draws
+    rate = x1.size / n_draws
     if rate < 1e-6 and proposal == "tilted":
         raise NumericError(
             f"acceptance rate {rate:.2e} below 1e-6; enlarge epsilon "
             f"(CLT scale is s/sqrt(n) = {tp.s / math.sqrt(n):.3g})"
         )
     return McSample(
-        x1=np.concatenate(kept) if kept else np.empty(0),
+        x1=x1,
         acceptance_rate=rate,
         n_proposals=n_draws,
         epsilon=float(epsilon),

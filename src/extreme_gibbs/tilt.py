@@ -4,10 +4,10 @@ The tilted density with parameter t is ``pi_t(x) = e^(t x) p(x) / Phi(t)``
 where ``Phi(t)`` is the moment generating function of the model.  Everything
 here is computed by saddle-centered quadrature in log space:
 
-* ``log_mgf`` integrates ``e^(t x) p(x)`` after substituting
-  ``x = xhat + sigma u`` with ``xhat`` the inverse slope at t and
-  ``sigma = 1/sqrt(h'(xhat))``, so the integrand is an O(1)-width bump in u
-  no matter how large t gets.
+* ``log_mgf`` integrates over offsets d = x - xhat from the inverse slope
+  xhat at t, with the remainder R(xhat, d) = g(xhat + d) - g(xhat) - h(xhat) d
+  in place of t x - g(x), so nothing cancels however large t gets; the rule
+  has width 1/sqrt(h'(xhat)).
 * ``tilt_moments`` extracts the tilted mean, variance and third centered
   moment from the same node set rather than by differencing ``log Phi``,
   which would amplify quadrature noise.  Its psi fields reuse the one slope
@@ -84,50 +84,62 @@ class TiltParams:
 
 
 def _mgf_quad(model: DensityModel, t: float, f=None):
-    """Quadrature of e^(t f(x)) p(x), and psi, psi', psi'' at its centre (NaN if undefined)."""
-
-    def log_f(x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # t f(x) beyond float range is inf, not a warning
-            stat = arr if f is None else np.asarray(f(arr), dtype=float)
-            return t * stat + model._log_density_clipped(arr)
-
-    # the inverse slope locates the peak of e^(t x) p(x) only for the identity
-    center = scale = None
-    psi = (math.nan,) * 3
+    """Quadrature of e^(t f(x)) p(x), log Phi_f(t), and psi, psi', psi'' at
+    its centre (NaN if undefined).  For the identity at t in the range of h
+    the rule runs over offsets d from xhat = psi(t), on the log integrand
+    ``(t - h(xhat)) d - R(xhat, d) + q(xhat + d) - q(xhat)``."""
+    res, psi = None, (math.nan,) * 3
     if f is None and t >= model.h_min:
         try:
             xhat = model.psi(t)
-            hp = float(model.h_prime(xhat))
-            if hp > 0:
-                center, scale = xhat, 1.0 / math.sqrt(hp)
-                d1 = 1.0 / hp
-                psi = (xhat, d1, -float(model.h_second(xhat)) * d1**3)
+            hp, h2 = float(model.h_prime(xhat)), float(model.h_second(xhat))
         except (DomainError, NumericError):
-            pass
-    if center is None:
+            hp = math.nan
+        if 0.0 < hp < math.inf:
+            d1 = 1.0 / hp
+            psi = (xhat, d1, -h2 * d1**3)
+            # t - h(xhat) is rounding noise once psi has converged
+            slope = t - float(model.h(xhat))
+            if abs(slope) <= 64.0 * (hp * math.ulp(xhat) + math.ulp(t)):
+                slope = 0.0
+            q0 = float(model.q(xhat))
+
+            def log_rel(d):
+                return slope * d - model.remainder(xhat, d) + (model.q(xhat + d) - q0)
+
+            res = quad.log_integral(log_rel, xhat, math.sqrt(d1), lo=model.support_lo, relative=True)
+            log_phi = t * xhat - float(model.g(xhat)) + q0 + model.log_norm + res.log_value
+    if res is None:
+
+        def log_f(x):
+            arr = np.asarray(x, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):  # t f(x) beyond float range is inf, not a warning
+                stat = arr if f is None else np.asarray(f(arr), dtype=float)
+                return t * stat + model._log_density_clipped(arr)
+
         center, scale = quad.find_peak(log_f, lo=model.support_lo, scale_hint=1.0)
-    res = quad.log_integral(log_f, center=center, scale=scale, lo=model.support_lo)
-    if not np.isfinite(res.log_value):
+        res = quad.log_integral(log_f, center=center, scale=scale, lo=model.support_lo)
+        log_phi = res.log_value
+    if not np.isfinite(log_phi):
         raise NumericError(f"mgf integral did not evaluate at t={t!r}")
-    return res, psi
+    return res, log_phi, psi
 
 
 def log_mgf(model: DensityModel, t: float) -> float:
     """log E[e^(t X)] by saddle-centered quadrature."""
-    return _mgf_quad(model, float(t))[0].log_value
+    return _mgf_quad(model, float(t))[1]
 
 
 def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     """Mean, variance and third centered moment of the tilted density.
 
-    Computed as weighted moments of the quadrature nodes in peak-scaled
-    coordinates, which avoids the catastrophic cancellation of forming
-    central moments around a large mean.  With a statistic ``f`` they are
-    the moments of f(X) under the f-tilt, taken from f at the same nodes.
+    Computed as weighted moments of the quadrature offsets from the peak,
+    which avoids the catastrophic cancellation of forming central moments
+    around a large mean.  With a statistic ``f`` they are the moments of
+    f(X) under the f-tilt, taken from f at the same nodes.
     """
     t = float(t)
-    res, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f=f)
+    res, log_phi, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f=f)
     p = np.exp(res.log_terms - res.log_value)
     if f is None:
         u, shift, unit = res.offsets, res.center, res.scale
@@ -147,7 +159,7 @@ def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
         a=mean,
         s2=s2,
         mu3=mu3,
-        log_phi=res.log_value,
+        log_phi=log_phi,
         psi_val=psi_val,
         psi_d1=psi_d1,
         psi_d2=psi_d2,
@@ -190,8 +202,8 @@ def solve_tilt(
     Newton steps use the exact derivative m'(t) = s^2(t) and are confined to
     a monotone bracket that is expanded geometrically from the initial guess
     ``t0 = h(a)`` when needed.  The iteration accepts a solution when
-    ``|m(t) - a| <= rtol * a``, with a relaxed floor when quadrature noise
-    prevents further progress.
+    ``|m(t) - a| <= rtol * a`` and raises :class:`NumericError` when the
+    iterates stop getting closer.
 
     With a statistic ``f`` the solve matches the mean of f(X) instead.  The
     start is t = 0, Newton begins at the middle of the bracket, and the
@@ -209,6 +221,8 @@ def solve_tilt(
             t = 0.0
         if not np.isfinite(t):
             raise DomainError(f"initial tilt guess h({a!r}) is not finite")
+        if float(model.h_prime(a)) == math.inf:
+            raise DomainError(f"h'({a!r}) overflows: the tilted width is below float range")
         scale = abs(a)
     else:
         t = 0.0
@@ -240,23 +254,16 @@ def solve_tilt(
         t = 0.5 * (t_lo + t_hi)
         tp = tilt_moments(model, t, f)
 
-    best = tp
-    best_err = abs(tp.a - a)
-    stall = 0
+    least, stall = math.inf, 0
     for _ in range(max_iter):
         err = tp.a - a
         if abs(err) <= tol:
             return tp
-        if abs(err) < best_err:
-            best, best_err, stall = tp, abs(err), 0
-        else:
-            stall += 1
-            if stall >= 4:
-                break
-        if err > 0:
-            t_hi = min(t_hi, tp.t)
-        else:
-            t_lo = max(t_lo, tp.t)
+        # four steps without a new smallest error end the solve
+        stall, least = (stall + 1, least) if abs(err) >= least else (0, abs(err))
+        if stall >= 4:
+            break
+        t_lo, t_hi = (t_lo, min(t_hi, tp.t)) if err > 0 else (max(t_lo, tp.t), t_hi)
         t_new = tp.t - err / tp.s2
         if not (t_lo < t_new < t_hi) or not np.isfinite(t_new):
             t_new = 0.5 * (t_lo + t_hi)
@@ -264,12 +271,8 @@ def solve_tilt(
             break
         tp = tilt_moments(model, t_new, f)
 
-    if best_err <= max(tol, 1e-9 * scale):
-        return best
-    raise NumericError(
-        f"tilt solver stalled at |m - a| = {best_err:.3e} for a = {a!r} "
-        f"(tolerance {tol:.3e})"
-    )
+    least = min(least, abs(tp.a - a))
+    raise NumericError(f"tilt solver stalled at |m - a| = {least:.3e} for a = {a!r} (tolerance {tol:.3e})")
 
 
 @lru_cache(maxsize=4096)

@@ -239,7 +239,8 @@ def _tau_node_window_mass(model, n, a_n):
 
 
 def _panel_tail_mass(model, n, a_n):
-    """log P2 by the panel walk over t >= t_e, one tilt_moments call per node."""
+    """log P2 by ``quad.log_integral`` over t >= t_e, one tilt_moments call
+    per node (a panel walk until the double-exponential rule replaced it)."""
     mix = ExceedanceMixture(model, n, a_n)
     const = 0.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi)
 
@@ -318,19 +319,22 @@ class TestWindowOverTilt:
         assert len(node_ts) == len(set(node_ts)) == 32 + exceedance._tail_rule()[0].size
 
     def test_tail_takes_no_panel_walk(self, weibull2, monkeypatch):
-        # the exceedance layer keeps only quad's logsumexp; tilt_moments keeps its own walk
+        # the exceedance layer keeps only quad's logsumexp; tilt_moments keeps its own rule
         monkeypatch.setattr(exceedance, "quad", types.SimpleNamespace(_logsumexp=quad._logsumexp))
         lp1, lp2 = window_tail_masses(weibull2, 16, 2.0)
         assert lp2 < lp1
 
 
-# Weibull k = 1.5 at a = 1.2 is left out: there tilt_moments carries the
-# error of its y^(1/2) endpoint (about 1e-6 in log Phi), and both rules
-# sample it at different t, so they scatter by up to 9e-7 at n = 2
+# Weibull k = 1.5 at a = 1.2 was left out while tilt_moments walked
+# Gauss-Legendre panels, which lost about 1e-6 of log Phi on its y^(1/2)
+# endpoint; the double-exponential rule takes that endpoint.  At n = 2 there
+# the 24-node Laguerre rule itself is off by 2.7e-8 in P2/P1 (0.0896; the
+# rule over t agrees with an adaptive scipy quadrature to 5e-16), so that
+# one case stays out
 _TAIL_CASES = [
     (model, a, n)
     for model, levels in [
-        ("weibull:k=1.5", (3.0,)),
+        ("weibull:k=1.5", (1.2, 3.0)),
         ("weibull:k=2", (1.2, 3.0)),
         ("weibull:k=4", (1.2, 3.0)),
         ("half_gaussian", (1.2, 3.0)),
@@ -338,6 +342,7 @@ _TAIL_CASES = [
     ]
     for a in levels
     for n in (2, 4, 8, 64)
+    if (model, a, n) != ("weibull:k=1.5", 1.2, 2)
 ]
 
 
