@@ -143,10 +143,11 @@ def _modulated_params(
 
     peak = None
     if f is None:
-        # root of h(y) + (y - mu)/beta = 0, width 1/sqrt(h'(y) + 1/beta); q is ignored, as for the tilt
+        # root of h(y) + (y - mu)/beta = 0 from y = a_n, width 1/sqrt(h'(y) + 1/beta); q is ignored, as for the tilt
+        slope, curvature = (lambda y: model.h(y) + (y - mu) / beta), (lambda y: model.h_prime(y) + 1.0 / beta)
         try:
-            yhat = _invert_slope(lambda y: model.h(y) + (y - mu) / beta, 0.0, model.support_lo, model.h_zero)
-            curv = float(model.h_prime(yhat)) + 1.0 / beta
+            yhat = _invert_slope(slope, curvature, 0.0, model.support_lo, float(a_n))
+            curv = float(curvature(yhat))
             if 0.0 < curv < math.inf:
                 peak = yhat, 1.0 / math.sqrt(curv)
         except (DomainError, NumericError):

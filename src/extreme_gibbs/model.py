@@ -190,7 +190,7 @@ class DensityModel:
             )
         if self.psi_closed is not None:
             return float(self.psi_closed(t))
-        return _invert_slope(self.h, float(t), self.support_lo, self.h_zero)
+        return _invert_slope(self.h, self.h_prime, float(t), self.support_lo, max(self.h_zero, self.support_lo) + 1.0)
 
     def psi_d1(self, t: float) -> float:
         """Derivative of the inverse of h: 1 / h'(psi(t))."""
@@ -224,27 +224,30 @@ def make_weibull(k: float) -> DensityModel:
     k = float(k)
     km1 = k - 1.0
 
+    # float64 (a scalar stays one): a level near 0 or past float range gives inf, not an exception
     def g(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.asarray(x, dtype=float)[()]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return x**k - km1 * np.log(x)
 
     def h(x):
-        with np.errstate(divide="ignore"):
+        x = np.asarray(x, dtype=float)[()]
+        with np.errstate(divide="ignore", over="ignore"):
             return k * x ** (k - 1.0) - km1 / x
 
-    # float64 arrays, so that a level near 0 gives inf, not ZeroDivisionError
     def h_prime(x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)[()]
         with np.errstate(divide="ignore", over="ignore"):
             return k * km1 * x ** (k - 2.0) + km1 / x**2
 
     def h_second(x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)[()]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return k * km1 * (k - 2.0) * x ** (k - 3.0) - 2.0 * km1 / x**3
 
     def g_remainder(x0, d):
         # x0^k [expm1x(k log1p r) + k log1pmx(r)] - (k-1) log1pmx(r), r = d/x0
+        x0 = np.float64(x0)
         r = d / x0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lp = np.log1p(r)
@@ -365,28 +368,25 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _invert_slope(h: Callable, t: float, lo: float, h_zero: float) -> float:
-    """Root of h(x) = t on the monotone branch of h beyond ``h_zero``."""
-    seed = max(h_zero, lo) or 1.0
-    x_hi = max(2.0 * seed, seed + 1.0)
-    for _ in range(600):
-        if h(x_hi) >= t:
-            break
-        x_hi *= 2.0
-    else:
-        raise NumericError(f"could not bracket h(x)={t} from above")
-    x_lo = max(0.5 * seed, lo + 1e-300)
-    for _ in range(2000):
-        if h(x_lo) <= t:
-            break
-        nxt = 0.5 * (x_lo + lo) if np.isfinite(lo) else 0.5 * x_lo
-        if nxt <= lo or nxt == x_lo:
-            x_lo = lo + 1e-300
-            break
-        x_lo = nxt
-    if not (h(x_lo) <= t <= h(x_hi)):
-        raise NumericError(f"h(x)={t} not bracketable in ({x_lo}, {x_hi})")
-    return quad._brentq(lambda x: h(x) - t, x_lo, x_hi, rtol=1e-14, maxiter=300)
+def _invert_slope(h: Callable, h_prime: Callable, t: float, lo: float, x0: float) -> float:
+    """Root of h(x) = t beyond ``lo`` by ``quad._root`` from ``x0``.  Where h(x)
+    and t share a sign and lo is finite, the step is Newton's for log|h|
+    against log(x - lo), which is exact for a pure power of x - lo; elsewhere
+    it is Newton's for h."""
+
+    def step(x):
+        hx, hp = float(h(np.float64(x))), float(h_prime(np.float64(x)))
+        f = hx - t
+        if not (0.0 < hp < math.inf and math.isfinite(f)):
+            return f, math.nan
+        power = (x - lo) * hp / hx if hx * t > 0.0 else math.nan  # the local exponent of h in x - lo
+        if not 0.0 < abs(power) < math.inf:
+            return f, x - f / hp
+        log_ratio = math.log1p(f / t) if abs(f / t) < 0.5 else math.log(abs(hx)) - math.log(abs(t))
+        return f, lo + (x - lo) * math.exp(min(-log_ratio / power, 700.0))
+
+    with np.errstate(all="ignore"):  # h overflows to inf past the root
+        return quad._root(step, x0, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +523,12 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
 
     # locate the sign change of h, if any, to seed the monotone branch
     h_zero = support_lo
+    probe = max(support_lo + 1e-6, 1e-6)
     try:
-        probe = max(support_lo + 1e-6, 1e-6)
         if float(np.asarray(h(probe))) < 0.0:
-            x_hi = probe
-            for _ in range(200):
-                x_hi *= 2.0
-                if float(np.asarray(h(x_hi))) > 0.0:
-                    break
-            h_zero = quad._brentq(lambda x: float(np.asarray(h(x))), probe, x_hi)
-    except (NumericError, FloatingPointError):
-        h_zero = support_lo
+            h_zero = _invert_slope(h, h_prime, 0.0, support_lo, probe)
+    except (DomainError, NumericError):
+        pass
 
     if "h_min" in fields:
         h_min = _spec_float(fields["h_min"], "h_min")
@@ -543,7 +538,7 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
         h_min = val if np.isfinite(val) else -np.inf
 
     def psi_fn(t):
-        return _invert_slope(h, float(t), support_lo, h_zero)
+        return _invert_slope(h, h_prime, float(t), support_lo, h_zero + 1.0)
 
     variation = _parse_variation(fields.get("variation", "regular:1"), h, h_prime, psi_fn, fields.get("epsilon"))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 __all__ = ["LogQuad", "log_integral", "find_peak"]
 
@@ -197,54 +197,72 @@ def find_peak(
     return xhat, min(widths)
 
 
-# Brent's scalar solvers (Brent 1973): line-for-line ports of scipy's brentq
-# (Zeros/brentq.c) and bounded minimize_scalar, bitwise equal to both
+def _root(step, x: float, lo: float = -math.inf, ftol=None, max_iter: int = 100, name="root-finder") -> float:
+    """Root of an increasing F on (lo, inf): the bracketed Newton-bisection
+    hybrid "rtsafe" of Press et al., *Numerical Recipes*, 3rd ed., sec. 9.4.
 
-
-def _brentq(f, xa: float, xb: float, xtol=2e-12, rtol=4 * 2.220446049250313e-16, maxiter=100) -> float:
-    """Root of ``f`` in the sign-changing bracket ``[xa, xb]``."""
-
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericError(f"root-finder met f({x!r}) = nan")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NumericError(f"root-finder bracket [{xa!r}, {xb!r}] has the same sign at both ends")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
+    ``step(x)`` returns F(x) and the Newton iterate from x.  The iterate is
+    taken when it lies strictly inside the bracket the iterates have shown
+    and its step is at most half the larger of the last two; otherwise the
+    bracket is bisected (geometrically about lo, or 0, when its ends are a
+    factor 4 apart on one side), or the unshown side is grown: by doubling
+    toward infinity, by squared ratios toward a finite lo.  The start must
+    evaluate; a later NumericError counts as beyond the root.  The root is
+    the first x with |F| <= ``ftol`` (a bracket that closes first is a
+    stall) or, without ftol, F = 0, a step within four ulps or a closed
+    bracket.  NaN F is a NumericError; a side grown past its end, or whose
+    F moves by ftol or less, is a DomainError.
+    """
+    below, above = lo, math.inf  # an end is shown once an iterate lies on it
+    dx = dx_old = math.inf
+    shrink, width, f_grown = 0.5, 0.0, None
+    for i in range(max_iter):
+        try:
+            f, x_new = step(x)
+            x_good = x
+        except NumericError:
+            if i == 0:
+                raise
+            f, x_new = math.copysign(math.inf, x - x_good), math.nan
+        if math.isnan(f):
+            raise NumericError(f"{name} met a NaN residual at x = {x!r}")
+        if f == 0.0 or (ftol is not None and abs(f) <= ftol):
+            return x
+        if f_grown is not None and abs(f - f_grown) <= ftol:
+            raise DomainError(f"{name} has no root: the residual stops changing at x = {x!r}")
+        below, above = (below, x) if f > 0.0 else (x, above)
+        newton, f_grown = x_new - x, None
+        if ftol is None and abs(newton) <= 4.0 * math.ulp(x):
+            return x_new
+        if below < x_new < above and abs(newton) <= 0.5 * max(abs(dx), abs(dx_old)):
+            pass  # the Newton step
+        elif lo < below and above < math.inf:  # bisect, geometrically when the ends are a factor 4 apart
+            anchor = lo if lo > -math.inf else 0.0
+            da, db = below - anchor, above - anchor
+            if 0.0 < 4.0 * da < db or db < 0.0 and da < 4.0 * db:
+                x_new = anchor + math.copysign(math.sqrt(abs(da)) * math.sqrt(abs(db)), db)
             else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise NumericError(f"root-finder did not converge in {maxiter} iterations (last x = {xcur!r})")
+                x_new = below + 0.5 * (above - below)
+            if x_new in (below, above):
+                if ftol is None:
+                    return x
+                raise NumericError(f"{name} stalled at |residual| = {abs(f):.3e} (tolerance {ftol:.3e})")
+        else:  # grow the side the root lies on
+            if f < 0.0 or lo == -math.inf:
+                width = max(2.0 * width, abs(x), 1.0)
+                x_new = x - math.copysign(width, f)
+            else:
+                d = x - lo  # no further than the smallest normal float while d is above it
+                x_new, shrink = lo + max(d * shrink, min(0.5 * d, np.finfo(float).tiny)), shrink * shrink
+            if not below < x_new < above:
+                raise DomainError(f"{name} has no root: the residual keeps its sign up to x = {x!r}")
+            f_grown = f if ftol is not None else None
+        dx_old, dx, x = dx, x_new - x, x_new
+    raise NumericError(f"{name} did not converge in {max_iter} steps (last x = {x!r})")
+
+
+# Brent's bounded scalar minimizer (Brent 1973): a line-for-line port of
+# scipy's bounded minimize_scalar, bitwise equal to it
 
 
 def _fminbound(func, a: float, b: float, xatol: float) -> tuple[float, float]:

@@ -12,9 +12,9 @@ here is computed by saddle-centered quadrature in log space:
   moment from the same node set rather than by differencing ``log Phi``,
   which would amplify quadrature noise.  Its psi fields reuse the one slope
   inversion that centres the quadrature.
-* ``solve_tilt`` inverts the mean function m(t) = a with a safeguarded
-  Newton iteration started at ``t0 = h(a)`` (the asymptotically exact
-  inverse) and a geometric bracket fallback.
+* ``solve_tilt`` inverts the mean function m(t) = a by Newton steps on
+  m'(t) = s^2(t) from ``t0 = h(a)``, the asymptotically exact inverse, kept
+  inside the bracket their own iterates show (``quad._root``).
 
 Conditioning on a general mean statistic ``sum f(X_i) = n a`` is the same
 tilt applied to f(X): ``tilt_moments`` and ``solve_tilt`` take the statistic
@@ -108,7 +108,8 @@ def _mgf_quad(model: DensityModel, t: float, f=None):
                 return slope * d - model.remainder(xhat, d) + (model.q(xhat + d) - q0)
 
             res = quad.log_integral(log_rel, xhat, math.sqrt(d1), lo=model.support_lo, relative=True)
-            log_phi = t * xhat - float(model.g(xhat)) + q0 + model.log_norm + res.log_value
+            with np.errstate(over="ignore", invalid="ignore"):  # g past float range: a NumericError below
+                log_phi = t * xhat - float(model.g(xhat)) + q0 + model.log_norm + res.log_value
     if res is None:
 
         def log_f(x):
@@ -166,49 +167,19 @@ def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     )
 
 
-def _expand(model: DensityModel, a: float, edge: float, m_edge: float, step: float, sign: float, f):
-    """One bracket expansion from ``edge``: the new edge, its mean, the next step.
-
-    Phi_f can be finite on a half-line only (x^2 under Weibull k=2 diverges
-    at t >= 1), so for a statistic f a failed quadrature halves the step
-    instead of ending the solve.  A step that collapses, or a mean that stops
-    moving, puts the target outside the image of the mean of f.
-    """
-    while True:
-        cand = edge + sign * step
-        try:
-            m = tilt_moments(model, cand, f).a
-        except NumericError:
-            if f is None:
-                raise
-            step *= 0.5
-            if step < 1e-12:
-                raise DomainError(f"target {a!r} outside the image of the mean of f") from None
-            continue
-        if f is not None and abs(m - m_edge) < 1e-12 * max(abs(a), 1.0):
-            raise DomainError(f"target {a!r} outside the image of the mean of f")
-        return cand, m, 2.0 * step
-
-
-def solve_tilt(
-    model: DensityModel,
-    a: float,
-    rtol: float = 1e-12,
-    max_iter: int = 120,
-    f=None,
-) -> TiltParams:
+def solve_tilt(model: DensityModel, a: float, rtol: float = 1e-12, max_iter: int = 120, f=None) -> TiltParams:
     """Solve m(t) = a for the tilt parameter t.
 
-    Newton steps use the exact derivative m'(t) = s^2(t) and are confined to
-    a monotone bracket that is expanded geometrically from the initial guess
-    ``t0 = h(a)`` when needed.  The iteration accepts a solution when
-    ``|m(t) - a| <= rtol * a`` and raises :class:`NumericError` when the
-    iterates stop getting closer.
+    Newton steps on the exact derivative m'(t) = s^2(t), kept inside the
+    bracket their own iterates show (``quad._root``), start at ``t0 = h(a)``
+    (the asymptotically exact inverse).  The solve accepts the first t with
+    ``|m(t) - a| <= rtol * a`` and raises :class:`NumericError` ("stalled")
+    when the bracket closes first.
 
-    With a statistic ``f`` the solve matches the mean of f(X) instead.  The
-    start is t = 0, Newton begins at the middle of the bracket, and the
-    tolerance scales with ``max(|a|, 1)``, because an f-target can be zero or
-    negative.
+    With a statistic ``f`` the solve matches the mean of f(X) instead, from
+    t = 0 with a unit first step, and the tolerance scales with ``max(|a|,
+    1)``, because an f-target can be zero or negative.  A target outside the
+    image of the mean of f is a :class:`DomainError`.
     """
     a = float(a)
     if not np.isfinite(a) or (f is None and a <= model.support_lo):
@@ -225,54 +196,18 @@ def solve_tilt(
             raise DomainError(f"h'({a!r}) overflows: the tilted width is below float range")
         scale = abs(a)
     else:
-        t = 0.0
-        scale = max(abs(a), 1.0)
+        t, scale = 0.0, max(abs(a), 1.0)
+    solved = []
 
-    tp = tilt_moments(model, t, f)
-    tol = rtol * scale
+    def step(t):
+        solved.append(tilt_moments(model, t, f))
+        m, s2 = solved[-1].a, solved[-1].s2
+        # with f the first move is a unit step: Newton's can land next to a pole of Phi_f
+        # (for x^2 under the half-Gaussian it goes from 0 to (a - 1)/2, and the pole is at 1/2)
+        return m - a, math.nan if f is not None and len(solved) == 1 else t + (a - m) / s2
 
-    # establish a bracket [t_lo, t_hi] with m(t_lo) <= a <= m(t_hi)
-    t_lo = t_hi = t
-    m_lo = m_hi = tp.a
-    step = max(abs(t), 1.0)
-    expansions = 0
-    while m_hi < a:
-        t_lo, m_lo = t_hi, m_hi
-        t_hi, m_hi, step = _expand(model, a, t_hi, m_hi, step, 1.0, f)
-        expansions += 1
-        if expansions > 80:
-            raise DomainError(f"could not bracket m(t) = {a!r} from above")
-    step = max(abs(t), 1.0)
-    while m_lo > a:
-        t_hi, m_hi = t_lo, m_lo
-        t_lo, m_lo, step = _expand(model, a, t_lo, m_lo, step, -1.0, f)
-        expansions += 1
-        if expansions > 160:
-            raise DomainError(f"could not bracket m(t) = {a!r} from below")
-
-    if f is not None or not (t_lo <= t <= t_hi):
-        t = 0.5 * (t_lo + t_hi)
-        tp = tilt_moments(model, t, f)
-
-    least, stall = math.inf, 0
-    for _ in range(max_iter):
-        err = tp.a - a
-        if abs(err) <= tol:
-            return tp
-        # four steps without a new smallest error end the solve
-        stall, least = (stall + 1, least) if abs(err) >= least else (0, abs(err))
-        if stall >= 4:
-            break
-        t_lo, t_hi = (t_lo, min(t_hi, tp.t)) if err > 0 else (max(t_lo, tp.t), t_hi)
-        t_new = tp.t - err / tp.s2
-        if not (t_lo < t_new < t_hi) or not np.isfinite(t_new):
-            t_new = 0.5 * (t_lo + t_hi)
-        if t_new == tp.t:
-            break
-        tp = tilt_moments(model, t_new, f)
-
-    least = min(least, abs(tp.a - a))
-    raise NumericError(f"tilt solver stalled at |m - a| = {least:.3e} for a = {a!r} (tolerance {tol:.3e})")
+    quad._root(step, t, ftol=rtol * scale, max_iter=max_iter, name=f"tilt solver for a = {a!r}")
+    return solved[-1]
 
 
 @lru_cache(maxsize=4096)

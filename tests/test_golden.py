@@ -9,10 +9,11 @@ layout of ``DIGESTS``.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6 on x86-64;
 other library builds may round differently in the last digit.  scipy is not
-on the path these runs take: its brentq and bounded minimize_scalar are
-bitwise ports in ``quad``, the oracle's FFT is ``numpy.fft``, and the normal
-cdf comes from ``math.erfc``, so the digests hold with or without scipy
-installed.  The ``validate`` digest was re-recorded when the stdlib log of
+on the path these runs take: its bounded minimize_scalar is a bitwise port
+in ``quad`` (its brentq was one too, until ``quad._root`` replaced it; see
+the last re-record below), the oracle's FFT is ``numpy.fft``, and the
+normal cdf comes from ``math.erfc``, so the digests hold with or without
+scipy installed.  The ``validate`` digest was re-recorded when the stdlib log of
 the normal cdf replaced ``scipy.special.log_ndtr``: its
 ``half_gaussian_log_mgf_closed`` measurement moved from 4.4e-16 to 1.1e-16.
 The ``exceed`` digest was re-recorded when the exceedance window moved from
@@ -37,6 +38,21 @@ because the panel walk was off by up to 342% in ``s2`` at a = 1e4.  The
 ``validate`` digest moved with its wider ``solver_roundtrip`` grids (Weibull
 k=2 up to 1e8, exp_exponential up to 300) and with the measured values of
 the rule; every check still passes at its old tolerance.
+
+Every digest was re-recorded once more when one safeguarded Newton
+(``quad._root``) replaced the port of scipy's ``brentq`` in the slope
+inverse psi, the tilt solver's bracket phase and the modulated normalizer's
+saddle.  psi moved to within a few ulps of the true root (brentq's absolute
+``xtol = 2e-12`` was coarse next to small roots), and everything downstream
+moved with it.  Measured against the parent's files, relative: in
+``tilt.csv`` ``t`` 9.6e-15, ``m`` and ``psi`` 1.5e-15, ``psi_d1`` 2.8e-15,
+``s2`` and ``V`` 3.5e-15, while ``mu3`` and ``skew_ratio`` (2.4e-8, at a
+skewness of 1e-8) stay held to mpmath; the ``gibbs`` curves 8.5e-14,
+``gibbs.csv`` 9e-12 (``tv``) and 3e-11 (``sup_gap``); the ``exceed``
+curves 1.4e-14 and ``exceed.csv`` 1.1e-14.  In ``validate.json``,
+``h_inverse_roundtrip_weibull2`` went from 1.5e-13 to 1.1e-16 and
+``rate_zero_at_mean`` from 4.1e-16 to 4.0e-16; every check passes at its
+tolerance.  ``tests/test_root.py`` holds the ``psi`` column to mpmath.
 """
 
 import hashlib
@@ -57,22 +73,22 @@ RUNS = {
 
 DIGESTS = {
     "tilt": {
-        "tilt.csv": "dd18270e8259d06dee95d42993acb94eee0e3aa48a360b743a0e2c0762f187b7",
+        "tilt.csv": "d5d34d7d4a193007dc1659522e120268aa400e81bd5eb9d2286b2da9a11c4569",
     },
     "gibbs": {
-        "curve_fast_growth_n16.csv": "e2b7415b4467d4187a289ae932e1e5a6e5bc498a17a3a11c2445a6e2dbdfd44f",
-        "curve_fast_growth_n32.csv": "78df20462e860b9c9c9971e44185e550372d38f4ddf5beccfaf383e60b39c2df",
-        "curve_tilted_n16.csv": "a2701534091c332746b3ccb99dd0f91bb5bb3c3b1978b10e86d9ce80c28ce081",
-        "curve_tilted_n32.csv": "6dc1f9ba45b4025075bfc4e6c1216121eee5863b29e8cbd1064bbc05ca16b3d9",
-        "gibbs.csv": "1cffce47efbfc53ebc4535a4ba4365ed3c3fbc1fdabd4017d949d16438c27649",
+        "curve_fast_growth_n16.csv": "bfbeacf982846d4756a1801f0694e98d5a0a38c23239d4a5c0b048b893e98c2c",
+        "curve_fast_growth_n32.csv": "095abac8144fdfd3a74e0fd5e025e208cea25ffffb52ee6999ec242b029db0cd",
+        "curve_tilted_n16.csv": "43eab06d21f91439ba1ac1afa7202482f9247d54f6f38c9e8d82577472c09b86",
+        "curve_tilted_n32.csv": "3d30c49fe01185ce17a735923fc5e7e3d278231f996c75af166c7f4e5e3ecdd4",
+        "gibbs.csv": "e1c9c209962e07a3eaddfdac3f9df184a12a7bfa67e0fc69d6b54f047b04c9d4",
     },
     "exceed": {
-        "curve_exceed_n16.csv": "3beb1ffe2e2d88c6c48ec2d6ef2439ce2f829e4dc1ed83b2e5d81b007d890d69",
-        "curve_exceed_n8.csv": "6cee16dc4812e42e379e53f515b19d5adae3349164f14b4bbe0c03a02f19ee5b",
-        "exceed.csv": "8a4e32655e83a3fcb34a3baaf540e9248c5e4de66c6fb7bbc2ff360d65fad737",
+        "curve_exceed_n16.csv": "5b8b16ecf8a529bbe8d6f27b845ebabec8b9be9ef70ddb5055cbc4bd49083082",
+        "curve_exceed_n8.csv": "d90e90626cddb7aad682304775f5a3aeae6882de7c86f2a124bd5f60fa79a592",
+        "exceed.csv": "985ca33f93feb323976782e1ca017cb99215a60221df5203f5c6f8597d628f7e",
     },
     "validate": {
-        "validate.json": "45869776876e3cf9f632cbacd199be6ac2620e5c8b4296f8da63d80414c338b5",
+        "validate.json": "a9ed36194f18695221e6e7933e8f5fcf2f71107b2bbe0d5be8a47cc80daba01e",
     },
 }
 

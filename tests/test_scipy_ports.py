@@ -1,11 +1,12 @@
 """The scipy-free numerics agree with the scipy routines they replace.
 
-``quad._brentq`` and ``quad._fminbound`` are line-for-line ports of scipy's
-``brentq`` and bounded ``minimize_scalar``; ``oracle._convolve_pair`` uses
-numpy's pocketfft at scipy's real-transform fast length; ``model._log_ndtr``
-is a stdlib log of the normal cdf.  The ports must give bitwise-equal
-numbers, and ``_log_ndtr`` must agree with ``scipy.special.log_ndtr`` to
-rounding.
+``quad._fminbound`` is a line-for-line port of scipy's bounded
+``minimize_scalar``; ``oracle._convolve_pair`` uses numpy's pocketfft at
+scipy's real-transform fast length; ``model._log_ndtr`` is a stdlib log of
+the normal cdf.  The ports must give bitwise-equal numbers, and
+``_log_ndtr`` must agree with ``scipy.special.log_ndtr`` to rounding.  (The
+root-finder that replaced the port of ``brentq`` is tested without scipy, in
+``tests/test_root.py``.)
 """
 
 import math
@@ -13,54 +14,11 @@ import math
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
 from extreme_gibbs import oracle, quad, tilt
-from extreme_gibbs.errors import NumericError
-from extreme_gibbs.model import _invert_slope, _log_ndtr, make_exp_exponential, make_weibull, model_from_spec
-
-T_GRID = np.geomspace(1e-3, 1e6, 400)
-
-
-def _scipy_brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
-    return float(brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter))
-
-
-@pytest.mark.parametrize(
-    "model",
-    [make_weibull(k) for k in (1.5, 2.0, 3.0, 4.0, 6.0, 10.0)] + [make_exp_exponential()],
-    ids=lambda m: m.name,
-)
-def test_invert_slope_is_bitwise_scipy_brentq(model, monkeypatch):
-    ts = [float(t) for t in T_GRID if t >= model.h_min]
-    port = [_invert_slope(model.h, t, model.support_lo, model.h_zero) for t in ts]
-    monkeypatch.setattr(quad, "_brentq", _scipy_brentq)
-    ref = [_invert_slope(model.h, t, model.support_lo, model.h_zero) for t in ts]
-    assert len(ts) > 250
-    assert port == ref
-
-
-def test_brentq_raises_numeric_error_on_same_sign_bracket():
-    with pytest.raises(NumericError, match="same sign"):
-        quad._brentq(lambda x: x * x + 1.0, -1.0, 2.0)
-
-
-def test_brentq_raises_numeric_error_when_iterations_run_out():
-    with pytest.raises(NumericError, match="did not converge in 3 iterations"):
-        quad._brentq(lambda x: x**3 - 2.0, 0.0, 10.0, maxiter=3)
-
-
-def test_brentq_raises_numeric_error_on_nan():
-    with pytest.raises(NumericError, match="nan"):
-        quad._brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 2.0)
-
-
-def test_custom_model_h_zero_probe_survives_a_failed_root_find():
-    # h < 0 everywhere: the sign-change probe's bracket fails, and h_zero falls back to support_lo
-    model = model_from_spec("kind = custom\ng = x**2\nh = -1 + 0*x\nvariation = regular:1")
-    assert model.h_zero == 0.0
-    assert model.h_min == -1.0
+from extreme_gibbs.model import _log_ndtr, make_exp_exponential, make_weibull
 
 
 def test_fminbound_is_bitwise_scipy_at_find_peak_call_sites(monkeypatch):
