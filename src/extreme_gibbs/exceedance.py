@@ -184,7 +184,8 @@ class ExceedanceMixture:
                 lk = log_tilted_density(self.model, tp_j, arr)
             else:
                 lk = log_fast_growth(self._fps[j], self.model, arr)
-            acc = np.logaddexp(acc, self.log_weights[j] + lk)
+            with np.errstate(invalid="ignore"):  # NaN at a NaN y
+                acc = np.logaddexp(acc, self.log_weights[j] + lk)
         return acc
 
     def density(self, y):

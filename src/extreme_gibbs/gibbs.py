@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 REGIME_THETA_LO = 0.1
 REGIME_THETA_HI = 10.0
@@ -119,7 +120,8 @@ class FastGrowthParams:
 
 def _log_normal_pdf(mu: float, var: float, y) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
-    return -0.5 * (_LOG_2PI + math.log(var)) - (arr - mu) ** 2 / (2.0 * var)
+    with np.errstate(over="ignore"):  # -inf far out
+        return -0.5 * (_LOG_2PI + math.log(var)) - (arr - mu) ** 2 / (2.0 * var)
 
 
 def _log_modulated(model: DensityModel, mu: float, var: float, y, f=None) -> np.ndarray:
@@ -153,8 +155,8 @@ def _modulated_params(
         except (DomainError, NumericError):
             pass
     if peak is None:  # no interior root (a peak on the boundary), or a statistic f
-        x0, hint = (float(a_n), tp.s) if f is None else (None, 1.0)
-        peak = quad.find_peak(log_f, lo=model.support_lo, x0=x0, scale_hint=hint)
+        x0, scale = (float(a_n), tp.s) if f is None else (max(model.h_zero, model.support_lo) + 1.0, 1.0)
+        peak = quad._locate(log_f, model.support_lo, x0, scale)
     res = quad.log_integral(log_f, center=peak[0], scale=peak[1], lo=model.support_lo)
     if not np.isfinite(res.log_value):
         raise NumericError("normalization integral of the modulated density failed")
@@ -191,14 +193,29 @@ def fast_growth_approx(params: FastGrowthParams, model: DensityModel, y):
 # ---------------------------------------------------------------------------
 
 
-def _check_block(n: int, ys: np.ndarray) -> int:
-    n = _count("n", n, 2)
+def _joint_value(log_value: float) -> float:
+    """exp of a log joint density; NumericError beyond float range."""
+    if log_value > _LOG_FLOAT_MAX:
+        raise NumericError(f"joint density exp({float(log_value)!r}) is beyond float range")
+    return math.exp(log_value)
+
+
+def _block(ys) -> np.ndarray:
+    """``ys`` as a 1-D float array; DomainError for any other shape."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if ys.ndim != 1:
+        raise DomainError(f"block must be one-dimensional, got shape {ys.shape}")
+    return ys
+
+
+def _check_block(n: int, ys) -> tuple[int, np.ndarray]:
+    n, ys = _count("n", n, 2), _block(ys)
     k = len(ys)
     if k < 1:
         raise DomainError("block must contain at least one coordinate")
     if k > n // 4:
         raise DomainError(f"block length k={k} must satisfy k <= n/4 (n={n})")
-    return n
+    return n, ys
 
 
 def joint_moderate_approx(
@@ -211,11 +228,10 @@ def joint_moderate_approx(
     level after each coordinate: the i-th factor is tilted at
     ``m_i = (n a_n - (y_1 + ... + y_i)) / (n - i)``.
     """
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    n = _check_block(n, ys)
+    n, ys = _check_block(n, ys)
     if mode == "common_tilt":
         tp = solve_tilt_cached(model, float(a_n))
-        return float(np.exp(np.sum(log_tilted_density(model, tp, ys))))
+        return _joint_value(np.sum(log_tilted_density(model, tp, ys)))
     if mode == "per_index_tilt":
         total = 0.0
         partial = 0.0
@@ -224,7 +240,7 @@ def joint_moderate_approx(
             m_i = (n * a_n - partial) / (n - i)
             tp_i = solve_tilt_cached(model, m_i)
             total += float(log_tilted_density(model, tp_i, np.asarray([y]))[0])
-        return math.exp(total)
+        return _joint_value(total)
     raise DomainError(f"unknown mode {mode!r}; use 'common_tilt' or 'per_index_tilt'")
 
 
@@ -242,8 +258,7 @@ def joint_fast_approx(model: DensityModel, n: int, a_n: float, ys) -> float:
     Unlike the moderate product the factors are coupled through a_n, which is
     exactly the failure of asymptotic independence at fast growth.
     """
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    n = _check_block(n, ys)
+    n, ys = _check_block(n, ys)
     total = 0.0
     partial = 0.0
     for i, y in enumerate(ys, start=1):
@@ -252,7 +267,7 @@ def joint_fast_approx(model: DensityModel, n: int, a_n: float, ys) -> float:
         fp = _fast_factor(model, rows, m_i, float(a_n))
         total += float(log_fast_growth(fp, model, np.asarray([y]))[0])
         partial += float(y)
-    return math.exp(total)
+    return _joint_value(total)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +332,7 @@ def z_statistics(model: DensityModel, n: int, a_n: float, ys) -> np.ndarray:
     ``z_i = (m_i - y_(i+1)) / (s_i sqrt(n - i - 1))`` for i = 0..k-1.
     All z_i vanish when every coordinate equals a_n.
     """
-    n = _count("n", n, 2)
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    n, ys = _count("n", n, 2), _block(ys)
     k = len(ys)
     if k >= n - 1:
         raise DomainError("need k < n - 1 for the z statistics")
@@ -327,7 +341,8 @@ def z_statistics(model: DensityModel, n: int, a_n: float, ys) -> np.ndarray:
     for i in range(k):
         m_i = (n * a_n - partial) / (n - i)
         tp_i = solve_tilt_cached(model, m_i)
-        out[i] = (m_i - ys[i]) / (tp_i.s * math.sqrt(n - i - 1))
+        with np.errstate(over="ignore"):  # +-inf for a coordinate far out
+            out[i] = (m_i - ys[i]) / (tp_i.s * math.sqrt(n - i - 1))
         partial += float(ys[i])
     return out
 

@@ -521,21 +521,22 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
         h_prime = expr("h_prime", _central_derivative(h))
         h_second = expr("h_second", _central_derivative(h_prime))
 
-    # locate the sign change of h, if any, to seed the monotone branch
+    # h at the support's end; where it is negative (or undefined) there, the
+    # sign change of h seeds the monotone branch
+    end = support_lo + 1e-9 * max(1.0, abs(support_lo))
+    with np.errstate(all="ignore"):  # h at an infinite end may be NaN
+        h_end = float(np.asarray(h(end)))
     h_zero = support_lo
-    probe = max(support_lo + 1e-6, 1e-6)
-    try:
-        if float(np.asarray(h(probe))) < 0.0:
-            h_zero = _invert_slope(h, h_prime, 0.0, support_lo, probe)
-    except (DomainError, NumericError):
-        pass
+    if not h_end >= 0.0:
+        try:
+            h_zero = _invert_slope(h, h_prime, 0.0, support_lo, max(support_lo + 1e-6, 1e-6))
+        except (DomainError, NumericError):
+            pass
 
     if "h_min" in fields:
         h_min = _spec_float(fields["h_min"], "h_min")
     else:
-        near = max(support_lo + 1e-9, 1e-9)
-        val = float(np.asarray(h(near)))
-        h_min = val if np.isfinite(val) else -np.inf
+        h_min = h_end if np.isfinite(h_end) else -np.inf
 
     def psi_fn(t):
         return _invert_slope(h, h_prime, float(t), support_lo, h_zero + 1.0)
@@ -547,7 +548,7 @@ def _custom_model(fields: dict[str, str]) -> DensityModel:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return -(g(arr) - q(arr))
 
-    xhat, sigma = quad.find_peak(log_unnorm, lo=support_lo, scale_hint=1.0)
+    xhat, sigma = quad._locate(log_unnorm, support_lo, max(h_zero, support_lo) + 1.0, 1.0)
     res = quad.log_integral(log_unnorm, center=xhat, scale=sigma, lo=support_lo)
     return DensityModel(
         name=name,

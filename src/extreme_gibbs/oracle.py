@@ -134,8 +134,8 @@ def discretize(source, lo: float, hi: float, step: float, clipped_mass: float | 
     unless the caller supplies a sharper ``clipped_mass`` figure.  Raises
     RangeError when more than 1e-6 of mass falls outside the grid.
     """
-    if not (hi > lo) or not (step > 0):
-        raise DomainError("need hi > lo and step > 0")
+    if not (-np.inf < lo < hi < np.inf) or not (0.0 < step < np.inf):
+        raise DomainError("need finite hi > lo and a finite step > 0")
     n = int(round((hi - lo) / step)) + 1
     if n > _MAX_GRID_POINTS:
         raise ResourceError(f"grid of {n} nodes exceeds the memory guard; coarsen the step")

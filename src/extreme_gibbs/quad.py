@@ -22,14 +22,16 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-__all__ = ["LogQuad", "log_integral", "find_peak"]
+__all__ = ["LogQuad", "log_integral"]
 
 # the rule's step and nodes in s; the largest exponent tau sinh(s) kept on
-# a finite end; the largest log share of the outermost node of an infinite end
+# a finite end; the largest log share of the outermost node of an infinite end;
+# the rounds of nodes ``_locate`` takes before it gives up
 _H = 0.07
 _S = _H * np.arange(-86, 87)
 _Z_MAX = 50.0
 _LOG_TAIL = math.log(1e-16)
+_ROUNDS = 12
 
 
 def _logsumexp(values: np.ndarray):
@@ -112,89 +114,29 @@ def log_integral(
     return LogQuad(total, x, d / scale, log_terms, c, scale, panels=1)
 
 
-def _scalar(log_f, x: float) -> float:
-    return float(np.asarray(log_f(np.asarray([x], dtype=float)))[0])
-
-
-def find_peak(
-    log_f,
-    lo: float,
-    x0: float | None = None,
-    scale_hint: float = 1.0,
-) -> tuple[float, float]:
-    """Locate the maximum of ``log_f`` on ``[lo, inf)`` and its half width.
-
-    Returns ``(xhat, sigma)`` where ``sigma`` is the distance at which the log
-    integrand drops by one half from its peak (the standard deviation for a
-    Gaussian peak).  Used when no analytic saddle point is available.
-    """
-    tiny = 1e-12 * max(1.0, abs(lo)) + 1e-300
-    left = lo + tiny
-    if x0 is None or not np.isfinite(x0) or not (left < x0):
-        x0 = left + scale_hint
-    step = max(scale_hint, 1e-8)
-    xa, xb = x0, x0
-    fa = f0 = fb = _scalar(log_f, x0)
-
-    # walk uphill, doubling the step, until the maximum is bracketed
-    for _ in range(500):
-        xr = xb + step
-        fr = _scalar(log_f, xr) if xr > xb else -np.inf
-        if fr > fb and xr > xb:
-            xa, fa = xb, fb
-            xb, fb = xr, fr
-            step *= 2.0
-            continue
-        xl = max(xa - step, left)
-        fl = _scalar(log_f, xl) if xl < xa else -np.inf
-        if fl > fa and xl < xa:
-            xb, fb = xa, fa
-            xa, fa = xl, fl
-            step *= 2.0
-            continue
-        # bracketed: widen the span by one step on each side when possible
-        xa = max(xa - step, left)
-        xb = xb + step
-        break
-    else:
-        raise NumericError("could not bracket the integrand peak")
-
-    xhat, fneg = _fminbound(lambda x: -_scalar(log_f, x), xa, xb, 1e-10 * max(1.0, abs(xb)))
-    xhat, fhat = float(xhat), -float(fneg)
-    if not np.isfinite(fhat):
-        raise NumericError("integrand peak is not finite")
-
-    def drop_at(d: float, sign: int) -> float:
-        x = xhat + sign * d
-        if x <= left:
-            # width not measurable past the boundary on this side
-            return -np.inf
-        return fhat - _scalar(log_f, x)
-
-    def half_width(sign: int) -> float:
-        d = max(1e-8, 1e-6 * max(1.0, abs(xhat)))
-        for _ in range(200):
-            dr = drop_at(d, sign)
-            if dr == -np.inf:
-                return np.inf
-            if dr >= 0.5:
-                break
-            d *= 2.0
-        else:
-            return np.inf
-        lo_d, hi_d = d / 2.0, d
-        for _ in range(60):
-            mid = 0.5 * (lo_d + hi_d)
-            if drop_at(mid, sign) >= 0.5:
-                hi_d = mid
-            else:
-                lo_d = mid
-        return hi_d
-
-    widths = [w for w in (half_width(+1), half_width(-1)) if np.isfinite(w)]
-    if not widths:
-        raise NumericError("integrand has no measurable width around its peak")
-    return xhat, min(widths)
+def _locate(log_f, lo: float, x0: float, scale: float) -> tuple[float, float]:
+    """Centre and width of the mass of ``exp(log_f)`` on ``[lo, inf)``, for
+    integrands without a known saddle: the weighted mean and standard
+    deviation of the rule's nodes around ``(x0, scale)``.  While one node
+    holds more than a quarter of the mass, or the outermost node more than
+    1e-16 of it, the nodes are taken again around the heaviest node, with
+    its spacing as the scale.  Raises :class:`NumericError` when the
+    integrand is NaN or +inf on the nodes, vanishes on all of them, or is
+    not resolved in ``_ROUNDS`` rounds (it diverges or decays too slowly)."""
+    for _ in range(_ROUNDS):
+        x, d, log_w, ends = _rule(x0, scale, lo, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_terms = np.asarray(log_f(x), dtype=float) + log_w
+        total = _logsumexp(log_terms)
+        if not -np.inf < total < np.inf:
+            raise NumericError(f"integrand diverges, vanishes or is not finite on the nodes around {x0!r}")
+        p = np.exp(log_terms - total)
+        top = int(np.argmax(p))
+        if p[top] <= 0.25 and not np.any(log_terms[ends] - total > _LOG_TAIL):
+            mean = float(np.sum(p * d))
+            return x0 + mean, math.sqrt(float(np.sum(p * (d - mean) ** 2)))
+        x0, scale = float(x[top]), float(np.exp(log_w[top]))
+    raise NumericError(f"integrand diverges or decays too slowly: its mass is not resolved around {x0!r}")
 
 
 def _root(step, x: float, lo: float = -math.inf, ftol=None, max_iter: int = 100, name="root-finder") -> float:
@@ -259,59 +201,3 @@ def _root(step, x: float, lo: float = -math.inf, ftol=None, max_iter: int = 100,
             f_grown = f if ftol is not None else None
         dx_old, dx, x = dx, x_new - x, x_new
     raise NumericError(f"{name} did not converge in {max_iter} steps (last x = {x!r})")
-
-
-# Brent's bounded scalar minimizer (Brent 1973): a line-for-line port of
-# scipy's bounded minimize_scalar, bitwise equal to it
-
-
-def _fminbound(func, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimum ``(xf, fx)`` of ``func`` on ``[a, b]`` by golden-section and parabolic steps."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    nfc = xf = fulc = a + golden_mean * (b - a)
-    rat = e = 0.0
-    fx, num = func(xf), 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = not abs(e) > tol1
-        if not golden:  # parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:  # scipy's default maxiter
-            break
-    return xf, fx

@@ -118,7 +118,7 @@ def _mgf_quad(model: DensityModel, t: float, f=None):
                 stat = arr if f is None else np.asarray(f(arr), dtype=float)
                 return t * stat + model._log_density_clipped(arr)
 
-        center, scale = quad.find_peak(log_f, lo=model.support_lo, scale_hint=1.0)
+        center, scale = quad._locate(log_f, model.support_lo, max(model.h_zero, model.support_lo) + 1.0, 1.0)
         res = quad.log_integral(log_f, center=center, scale=scale, lo=model.support_lo)
         log_phi = res.log_value
     if not np.isfinite(log_phi):
@@ -217,9 +217,11 @@ def solve_tilt_cached(model: DensityModel, a: float) -> TiltParams:
 
 
 def log_tilted_density(model: DensityModel, tp: TiltParams, x) -> np.ndarray:
-    """Vectorized log of pi_t; -inf below the support."""
+    """Vectorized log of pi_t; -inf below the support and where p is 0, NaN at NaN."""
     arr = np.asarray(x, dtype=float)
-    return tp.t * arr + model._log_density_clipped(arr) - tp.log_phi
+    with np.errstate(over="ignore", invalid="ignore"):  # t x = inf where p is 0: inf - inf
+        out = tp.t * arr + model._log_density_clipped(arr)
+    return np.where(np.isnan(out) & ~np.isnan(arr), -np.inf, out) - tp.log_phi
 
 
 def tilted_density(model: DensityModel, tp: TiltParams, x):

@@ -25,7 +25,7 @@ from extreme_gibbs.gibbs import (
 )
 from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull
 from extreme_gibbs.oracle import get_oracle, tv_distance
-from extreme_gibbs.quad import find_peak, log_integral
+from extreme_gibbs.quad import log_integral
 from extreme_gibbs.tilt import solve_tilt, tilt_moments, tilted_density
 
 
@@ -135,8 +135,29 @@ def _log_modulated_ref(model, mu, var, stat):
     return log_f
 
 
-# (model, fast-growth (n, a_n) levels, relative tolerance on logC against the
-# find_peak-centred normalizer, floor of the unit-mass check)
+def _mp_log_c(model, mu, beta, stat, y0):
+    """-log of the integral of p(y) N(mu, beta)(stat(y)) over the support, by
+    40-digit mpmath quadrature within 60 widths of the peak, which mpmath
+    finds from y0; skips the test when mpmath is not installed."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        if model.name.startswith("weibull"):
+            k = mp.mpf(model.name[len("weibull(k=") : -1])
+            g = lambda y: y**k - (k - 1) * mp.log(y)  # noqa: E731
+        elif model.name == "exp_exponential":
+            g = lambda y: mp.exp(y - 1)  # noqa: E731
+        else:
+            g = lambda y: y * y / 2  # noqa: E731
+        log_w = lambda y: -g(y) - (stat(y) - mu) ** 2 / (2 * beta)  # noqa: E731
+        yhat = mp.findroot(lambda y: mp.diff(log_w, y), mp.mpf(y0))
+        w = 1 / mp.sqrt(-mp.diff(log_w, yhat, 2))
+        pts = sorted({max(mp.mpf(0), yhat + c * w) for c in (-60, -10, 0, 10, 60)})
+        z = mp.quad(lambda y: mp.exp(log_w(y) - log_w(yhat)) if y > 0 else mp.mpf(0), pts)
+        return -float(log_w(yhat) + mp.log(z) + model.log_norm - mp.log(2 * mp.pi * beta) / 2)
+
+
+# (model, fast-growth (n, a_n) levels, relative tolerance on logC against
+# mpmath, floor of the unit-mass check)
 _SADDLE_CASES = [
     (make_weibull(2.0), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
     (make_weibull(4.0), [(16, 3.0), (128, 5.0), (1024, 9.0)], 1e-14, 1e-12),
@@ -155,13 +176,13 @@ class TestModulatedSaddle:
     def test_no_peak_search_with_a_given_tilt(self, model, levels, rel, floor, monkeypatch):
         tps = [(n, a, solve_tilt(model, a)) for n, a in levels]
         calls = []
-        real = quad.find_peak
+        real = quad._locate
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(quad, "find_peak", counting)
+        monkeypatch.setattr(quad, "_locate", counting)
         for n, a, tp in tps:
             fast_growth_params(model, n, a, tp=tp)
         assert calls == []
@@ -171,9 +192,7 @@ class TestModulatedSaddle:
             tp = solve_tilt(model, a)
             assert classify_regime(model, n, a).kind == "fast"
             fp = fast_growth_params(model, n, a, tp=tp)
-            log_f = _log_modulated_ref(model, fp.alpha * fp.beta + a, fp.beta, lambda y: y)
-            xhat, sigma = find_peak(log_f, lo=model.support_lo, x0=a, scale_hint=tp.s)
-            ref = -log_integral(log_f, center=xhat, scale=sigma, lo=model.support_lo).log_value
+            ref = _mp_log_c(model, fp.alpha * fp.beta + a, fp.beta, lambda y: y, a)
             assert abs(fp.logC - ref) <= rel * abs(ref), (n, a, fp.logC, ref)
 
     def test_unit_mass(self, model, levels, rel, floor):
@@ -339,18 +358,21 @@ class TestFMean:
                 f_tilted_approx(weibull2, f, 16, 3.0, 2.9, variant="bogus")
 
     def test_square_statistic_modulated_keeps_the_peak_search(self, weibull2):
-        # a statistic f other than the identity is still centred by find_peak, bit for bit
+        # a statistic f other than the identity is centred by the locator; its normalizer matches mpmath
         sq = lambda x: x * x  # noqa: E731
-        n, a_n = 32, 3.0
-        xs = np.linspace(0.0, 4.0, 41)
-        tp = solve_tilt(weibull2, a_n, f=sq)
-        alpha = tp.t + tp.mu3 / (2.0 * (n - 1) * tp.s2)
-        beta = (n - 1) * tp.s2
-        log_f = _log_modulated_ref(weibull2, alpha * beta + a_n, beta, sq)
-        xhat, sigma = find_peak(log_f, lo=weibull2.support_lo, scale_hint=1.0)
-        log_c = -log_integral(log_f, center=xhat, scale=sigma, lo=weibull2.support_lo).log_value
-        got = f_tilted_approx(weibull2, sq, n, a_n, xs, variant="gaussian_modulated")
-        assert np.array_equal(got, np.exp(log_f(xs) + log_c))
+        grid = np.linspace(1e-3, 200.0, 200_000)
+        # at n = 32, a_n = 16 the normalizer peaks at y = 60 with sd 0.74
+        for n, a_n in [(32, 3.0), (32, 16.0), (128, 5.0)]:
+            tp = solve_tilt(weibull2, a_n, f=sq)
+            alpha = tp.t + tp.mu3 / (2.0 * (n - 1) * tp.s2)
+            beta = (n - 1) * tp.s2
+            log_f = _log_modulated_ref(weibull2, alpha * beta + a_n, beta, sq)
+            y0 = grid[np.argmax(log_f(grid))]
+            log_c = _mp_log_c(weibull2, alpha * beta + a_n, beta, sq, y0)
+            xs = np.linspace(0.0, 1.5 * y0, 61)
+            got = f_tilted_approx(weibull2, sq, n, a_n, xs, variant="gaussian_modulated")
+            # the exponent is formed in absolute terms: a few eps * |logC| of rounding
+            np.testing.assert_allclose(got, np.exp(log_f(xs) + log_c), rtol=1e-14 * max(1.0, abs(log_c)), atol=0)
 
     def test_modulated_variant_is_normalized(self, weibull2):
         xs = np.arange(0.0, 12.0, 1e-3)

@@ -17,7 +17,7 @@ from extreme_gibbs.model import (
     model_diagnostics,
     model_from_spec,
 )
-from extreme_gibbs.quad import find_peak, log_integral
+from extreme_gibbs.quad import log_integral
 from extreme_gibbs.tilt import log_tilted_density, solve_tilt, tilt_moments
 
 
@@ -61,18 +61,6 @@ def test_moments_from_nodes():
 def test_divergent_integrand_raises():
     with pytest.raises(NumericError):
         log_integral(lambda x: 0.1 * x, center=0.0, scale=1.0, lo=0.0)
-
-
-def test_find_peak_interior():
-    xhat, sigma = find_peak(lambda x: -0.5 * ((x - 7.0) / 0.3) ** 2, lo=0.0)
-    assert xhat == pytest.approx(7.0, abs=1e-6)
-    assert sigma == pytest.approx(0.3, rel=1e-3)
-
-
-def test_find_peak_at_boundary():
-    xhat, sigma = find_peak(lambda x: -2.0 * x, lo=0.0)
-    assert xhat < 1e-6
-    assert 0.1 < sigma < 1.0
 
 
 # -- the rule against the one-panel reference walk ------------------------------

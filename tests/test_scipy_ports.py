@@ -1,49 +1,21 @@
 """The scipy-free numerics agree with the scipy routines they replace.
 
-``quad._fminbound`` is a line-for-line port of scipy's bounded
-``minimize_scalar``; ``oracle._convolve_pair`` uses numpy's pocketfft at
-scipy's real-transform fast length; ``model._log_ndtr`` is a stdlib log of
-the normal cdf.  The ports must give bitwise-equal numbers, and
-``_log_ndtr`` must agree with ``scipy.special.log_ndtr`` to rounding.  (The
-root-finder that replaced the port of ``brentq`` is tested without scipy, in
-``tests/test_root.py``.)
+``oracle._convolve_pair`` uses numpy's pocketfft at scipy's real-transform
+fast length, and must give bitwise-equal numbers; ``model._log_ndtr`` is a
+stdlib log of the normal cdf, and must agree with
+``scipy.special.log_ndtr`` to rounding.  (The root-finder that replaced the
+port of ``brentq``, and the locator that replaced the port of bounded
+``minimize_scalar``, are tested without scipy, in ``tests/test_root.py`` and
+``tests/test_locate.py``.)
 """
-
-import math
 
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
-from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
-from extreme_gibbs import oracle, quad, tilt
-from extreme_gibbs.model import _log_ndtr, make_exp_exponential, make_weibull
-
-
-def test_fminbound_is_bitwise_scipy_at_find_peak_call_sites(monkeypatch):
-    weibull2, exp_exp = make_weibull(2.0), make_exp_exponential()
-    port = quad._fminbound
-    pairs = []
-
-    def compare(func, a, b, xatol):
-        got = port(func, a, b, xatol)
-        ref = minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
-        pairs.append((tuple(map(float, got)), (float(ref.x), float(ref.fun))))
-        return got
-
-    monkeypatch.setattr(quad, "_fminbound", compare)
-    # the statistic-f tilt (x^2 and log) and the t < h_min path centre by find_peak
-    for a in (0.5, 1.5, 3.0, 10.0, 100.0):
-        tilt.solve_tilt(weibull2, a, f=lambda x: x * x)
-    for a in (-0.5, 0.0, 1.0, 2.0):
-        tilt.solve_tilt(weibull2, a, f=np.log)
-    for t in (-5.0, -1.0, 0.0, 0.1, 0.3):
-        tilt.tilt_moments(exp_exp, t)
-    assert len(pairs) > 50
-    for got, ref in pairs:
-        assert all(math.isfinite(v) for v in got)
-        assert got == ref
+from extreme_gibbs import oracle
+from extreme_gibbs.model import _log_ndtr
 
 
 def test_fast_len_is_scipys_real_fast_length():
