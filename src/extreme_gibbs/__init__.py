@@ -34,6 +34,7 @@ from .tilt import (
     normalized_tilted_density,
     skewness_ratio,
     solve_tilt,
+    solve_tilt_many,
     tilt_moments,
     tilted_density,
 )

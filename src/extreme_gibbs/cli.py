@@ -11,9 +11,10 @@ Outputs are CSV (default) or JSON, every float serialized with 17
 significant digits, each file opening with a ``# extreme-gibbs v<semver>``
 version line.  Runs are reproducible: a config plus a seed yields
 byte-identical files, which is why wall-clock timings go to stderr only.
-Experiment rows execute in a small thread pool capped by the
+``gibbs`` and ``exceed`` rows execute in a small thread pool capped by the
 ``EXTREME_GIBBS_THREADS`` environment variable; results are written in
-declaration order regardless of completion order.
+declaration order regardless of completion order.  ``tilt`` solves its whole
+grid in one batch (``tilt.solve_tilt_many``) and does not use the pool.
 """
 
 from __future__ import annotations
@@ -113,16 +114,15 @@ def cmd_tilt(cfg: ExperimentConfig) -> list[list]:
     else:
         levels = np.asarray([cfg.a.a_for(n) for n in cfg.n])
 
-    def solve_row(a: float) -> list:
+    def row(a: float, tp) -> list:
         try:
-            tp = tilt.solve_tilt(model, float(a))
-            return [float(a), tp.t, tp.a, tp.s2, tp.mu3, tp.skew, tp.psi_val, tp.psi_d1, tp.s2, "ok"]
-        except (ExtremeGibbsError, ArithmeticError) as err:  # e.g. float overflow at a huge level
-            nan = math.nan
-            note = "error: " + str(err).replace(",", ";").replace("\n", " ")
-            return [float(a), nan, nan, nan, nan, nan, nan, nan, nan, note]
+            if isinstance(tp, Exception):
+                raise tp
+            return [a, tp.t, tp.a, tp.s2, tp.mu3, tp.skew, tp.psi_val, tp.psi_d1, tp.s2, "ok"]
+        except (ExtremeGibbsError, ArithmeticError) as err:  # e.g. s^3 past float range in the skew
+            return [a, *[math.nan] * 8, "error: " + str(err).replace(",", ";").replace("\n", " ")]
 
-    rows = _run_rows(cfg, [lambda a=a: solve_row(a) for a in levels])
+    rows = [row(a, tp) for a, tp in zip(np.asarray(levels, dtype=float).tolist(), tilt.solve_tilt_many(model, levels))]
     ext = "json" if cfg.fmt == "json" else "csv"
     _write_table(os.path.join(cfg.out, f"tilt.{ext}"), _TILT_HEADER, rows, cfg.fmt)
     return rows
@@ -287,10 +287,10 @@ def run_validation(cfg: ExperimentConfig) -> dict:
         record(f"h_inverse_roundtrip_{key}", max(errs), 1e-10)
         m0 = tilt.tilt_moments(model, 0.0).a
         hi = {"weibull2": 1e8, "half_gaussian": 1e3, "exp_exponential": 300.0}[key]
-        rel = max(
-            abs(tilt.solve_tilt(model, a).a - a) / a for a in np.geomspace(2 * m0, hi, 6)
-        )
-        record(f"solver_roundtrip_{key}", rel, 1e-9)
+        tps = tilt.solve_tilt_many(model, levels := np.geomspace(2 * m0, hi, 6))
+        if failed := [tp for tp in tps if isinstance(tp, Exception)]:
+            raise failed[0]
+        record(f"solver_roundtrip_{key}", max(abs(tp.a - a) / a for tp, a in zip(tps, levels)), 1e-9)
 
     hg = models["half_gaussian"]
     cf = hg.closed_forms

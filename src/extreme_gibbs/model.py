@@ -247,7 +247,7 @@ def make_weibull(k: float) -> DensityModel:
 
     def g_remainder(x0, d):
         # x0^k [expm1x(k log1p r) + k log1pmx(r)] - (k-1) log1pmx(r), r = d/x0
-        x0 = np.float64(x0)
+        x0 = np.asarray(x0, dtype=float)
         r = d / x0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lp = np.log1p(r)
@@ -309,7 +309,7 @@ def make_exp_exponential() -> DensityModel:
         h_min=math.exp(-1.0),
         probes=(5.0, 10.0, 1e2, 300.0),
         psi_closed=lambda t: np.log(t) + 1.0,
-        g_remainder=lambda x0, d: math.exp(x0 - 1.0) * _expm1x(d),
+        g_remainder=lambda x0, d: (np.exp(x0 - 1.0) if np.ndim(x0) else math.exp(x0 - 1.0)) * _expm1x(d),
     )
 
 
@@ -359,7 +359,7 @@ def make_half_gaussian() -> DensityModel:
         h_min=0.0,
         probes=(10.0, 1e2, 1e3, 1e4),
         closed_forms=closed,
-        psi_closed=lambda t: float(t),
+        psi_closed=lambda t: np.asarray(t, dtype=float),
         g_remainder=lambda x0, d: 0.5 * d * d,
     )
 
@@ -368,13 +368,13 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _invert_slope(h: Callable, h_prime: Callable, t: float, lo: float, x0: float) -> float:
-    """Root of h(x) = t beyond ``lo`` by ``quad._root`` from ``x0``.  Where h(x)
-    and t share a sign and lo is finite, the step is Newton's for log|h|
-    against log(x - lo), which is exact for a pure power of x - lo; elsewhere
-    it is Newton's for h."""
-
-    def step(x):
+def _slope_step(h: Callable, h_prime: Callable, x, t, lo: float):
+    """h(x) - t and the Newton iterate from x toward h(x) = t, at a float or
+    over an array x: where h(x) and t share a sign and lo is finite, Newton's
+    step for log|h| against log(x - lo), exact for a pure power of x - lo, else
+    Newton's for h; NaN where h' is not positive and finite or h(x) - t is not
+    finite.  Call it under ``np.errstate``."""
+    if not isinstance(x, np.ndarray):  # one point, in Python floats: h and h' take it as a numpy float
         hx, hp = float(h(np.float64(x))), float(h_prime(np.float64(x)))
         f = hx - t
         if not (0.0 < hp < math.inf and math.isfinite(f)):
@@ -384,9 +384,18 @@ def _invert_slope(h: Callable, h_prime: Callable, t: float, lo: float, x0: float
             return f, x - f / hp
         log_ratio = math.log1p(f / t) if abs(f / t) < 0.5 else math.log(abs(hx)) - math.log(abs(t))
         return f, lo + (x - lo) * math.exp(min(-log_ratio / power, 700.0))
+    hx, hp = h(x), h_prime(x)
+    f, power = hx - t, (x - lo) * hp / hx
+    log_ratio = np.where(abs(f / t) < 0.5, np.log1p(f / t), np.log(abs(hx)) - np.log(abs(t)))
+    by_power = lo + (x - lo) * np.exp(np.minimum(-log_ratio / power, 700.0))
+    x_new = np.where((hx * t > 0.0) & (0.0 < abs(power)) & (abs(power) < np.inf), by_power, x - f / hp)
+    return f, np.where((0.0 < hp) & (hp < np.inf) & (abs(f) < np.inf), x_new, np.nan)
 
+
+def _invert_slope(h: Callable, h_prime: Callable, t: float, lo: float, x0: float) -> float:
+    """Root of h(x) = t beyond ``lo`` by ``quad._root`` from ``x0``, with ``_slope_step``'s steps."""
     with np.errstate(all="ignore"):  # h overflows to inf past the root
-        return quad._root(step, x0, lo=lo)
+        return quad._root(lambda x: _slope_step(h, h_prime, x, t, lo), x0, lo=lo)
 
 
 # ---------------------------------------------------------------------------

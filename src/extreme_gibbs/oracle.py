@@ -30,6 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, NumericError, RangeError, ResourceError, _count
+from .gibbs import _block
 from .model import DensityModel
 from . import quad
 from .tilt import TiltParams, log_tilted_density, solve_tilt_cached, tilt_moments, tilted_density
@@ -321,6 +322,7 @@ class ConditionalOracle:
         """Density of (X_1, X_2) given the sum equals n a_n, on y1 x y2."""
         if self.n <= 2:
             raise DomainError("joint conditional needs n > 2")
+        y1, y2 = _block(y1), _block(y2)
         self.table.power(self.n - 2)  # convolve first: its memory peak and the grids' must not add up
         l1 = log_tilted_density(self.model, self.tp, y1)
         l2 = log_tilted_density(self.model, self.tp, y2)

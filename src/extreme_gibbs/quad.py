@@ -29,6 +29,7 @@ __all__ = ["LogQuad", "log_integral"]
 # the rounds of nodes ``_locate`` takes before it gives up
 _H = 0.07
 _S = _H * np.arange(-86, 87)
+_SINH, _LOG_COSH = np.sinh(_S), np.log(np.cosh(_S))
 _Z_MAX = 50.0
 _LOG_TAIL = math.log(1e-16)
 _ROUNDS = 12
@@ -66,23 +67,27 @@ class LogQuad:
     panels: int
 
 
-def _rule(c: float, scale: float, lo: float, hi: float):
+def _rule(c, scale, lo: float, hi: float):
     """Nodes x of the rule on [lo, hi], their offsets x - c and log weights,
     and the indices of the nodes at an infinite end.  Near a finite end x is
-    formed from that end and x - c from c, so neither cancels."""
-    sinh, log_cosh = np.sinh(_S), np.log(np.cosh(_S))
+    formed from that end and x - c from c, so neither cancels.  On [lo, inf) c and scale may be
+    columns: each row keeps 173 nodes, those past ``_Z_MAX`` weighted -inf, and ends at its last kept one."""
+    sinh, log_cosh, rows = _SINH, _LOG_COSH, isinstance(scale, np.ndarray)
+    xp, lesser, greater = (np, np.minimum, np.maximum) if rows else (math, min, max)
     if lo == -np.inf and hi == np.inf:
-        return c + scale * sinh, scale * sinh, math.log(_H * scale) + log_cosh, [0, -1]
+        return c + scale * sinh, scale * sinh, xp.log(_H * scale) + log_cosh, [0, -1]
     # a is the finite end nearest the peak; sign points from a into the range
     a, sign = (lo, 1.0) if hi == np.inf or (lo > -np.inf and c - lo <= hi - c) else (hi, -1.0)
     width = hi - lo
-    L = min(max(abs(c - a), 4.0 * scale), 0.5 * width)
-    tau = min(scale / L, 0.25)
-    z = tau * sinh[tau * sinh <= _Z_MAX]
-    log_dz = math.log(_H * tau) + log_cosh[: z.size]
+    L = lesser(greater(abs(c - a), 4.0 * scale), 0.5 * width)
+    tau = lesser(scale / L, 0.25)
+    z, keep = tau * sinh, tau * sinh <= _Z_MAX
+    z, log_cosh = (np.where(keep, z, 0.0), np.where(keep, log_cosh, -np.inf)) if rows else (z[keep], log_cosh[keep])
+    log_dz = xp.log(_H * tau) + log_cosh
     if width == np.inf:  # x - a = L e^z; (a - c + sign L) is 0 when L = |c - a|
         d = (a - c + sign * L) + sign * L * np.expm1(z)
-        return a + sign * L * np.exp(z), d, math.log(L) + z + log_dz, [-1]
+        ends = np.sum(keep, axis=-1, keepdims=True) - 1 if rows else [-1]
+        return a + sign * L * np.exp(z), d, xp.log(L) + z + log_dz, ends
     # x - a = W expit(zz), whose derivative is W expit(zz) expit(-zz)
     zz = z + math.log(L / (width - L))
     y = width / (1.0 + np.exp(-zz))
@@ -201,3 +206,27 @@ def _root(step, x: float, lo: float = -math.inf, ftol=None, max_iter: int = 100,
             f_grown = f if ftol is not None else None
         dx_old, dx, x = dx, x_new - x, x_new
     raise NumericError(f"{name} did not converge in {max_iter} steps (last x = {x!r})")
+
+
+def _root_many(step, x, lo: float = -math.inf, ftol=None, passes: int = 24):
+    """``_root``'s Newton steps for many roots at once; ``step(rows, x)`` gives F and the iterates at
+    those rows.  A row stops at the root ``_root`` returns, where ``_root`` would not take the Newton
+    step (F is NaN, the iterate leaves the shown bracket or the step grows), or after ``passes``
+    passes.  Returns the roots and a mask of the rows that reached theirs."""
+    x = np.array(x, dtype=float)
+    below, above, dx, dx_old = (np.full(x.shape, v) for v in (lo, math.inf, math.inf, math.inf))
+    live, found = np.ones(x.shape, bool), np.zeros(x.shape, bool)
+    for _ in range(passes):
+        i = np.flatnonzero(live)
+        if i.size == 0:
+            break
+        with np.errstate(all="ignore"):  # F and the iterates of failed rows are NaN or inf
+            f, x_new = step(i, x[i])
+        newton = x_new - x[i]
+        at_x = (f == 0.0) if ftol is None else (np.abs(f) <= ftol[i])
+        at_new = ~at_x & (np.abs(newton) <= 4.0 * np.spacing(np.abs(x[i]))) if ftol is None else False
+        below[i], above[i] = np.where(f < 0.0, x[i], below[i]), np.where(f > 0.0, x[i], above[i])
+        takes = (below[i] < x_new) & (x_new < above[i]) & (np.abs(newton) <= 0.5 * np.maximum(dx[i], dx_old[i]))
+        found[i], live[i] = at_x | at_new, takes & ~at_x & ~at_new
+        dx_old[i], dx[i], x[i] = dx[i], np.abs(newton), np.where(at_new | live[i], x_new, x[i])
+    return x, found

@@ -34,14 +34,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import quad
-from .errors import DomainError, NumericError
-from .model import DensityModel
+from .errors import DomainError, ExtremeGibbsError, NumericError
+from .model import DensityModel, _slope_step
 
 __all__ = [
     "TiltParams",
     "log_mgf",
     "tilt_moments",
     "solve_tilt",
+    "solve_tilt_many",
     "solve_tilt_cached",
     "tilted_density",
     "log_tilted_density",
@@ -126,6 +127,53 @@ def _mgf_quad(model: DensityModel, t: float, f=None):
     return res, log_phi, psi
 
 
+def _moments(log_terms, log_value, u):
+    """Mean, variance and third centred moment of u over the last axis, weighted by exp(log_terms - log_value)."""
+    p = np.exp(log_terms - np.asarray(log_value)[..., None])
+    mean = np.sum(p * u, axis=-1)
+    du = u - mean[..., None]
+    return mean, np.sum(p * du * du, axis=-1), np.sum(p * du * du * du, axis=-1)
+
+
+def _saddle_many(model: DensityModel, t: np.ndarray):
+    """``_mgf_quad``'s saddle branch and ``tilt_moments``' moments over an
+    array of t, the identity statistic: a mask of the rows that pass every
+    check of the scalar path, and the fields of ``TiltParams`` as arrays."""
+    lo, ok = model.support_lo, np.isfinite(model.support_lo) & (t >= model.h_min)
+    none = np.zeros(t.shape, bool), (t, *(np.full(t.shape, math.nan),) * 7)
+    if not np.any(ok):  # the whole line, or no t in the range of h
+        return none
+    try:
+        with np.errstate(all="ignore"):
+            if model.psi_closed is None:
+                x0 = np.full(t.shape, max(model.h_zero, lo) + 1.0)
+                x, found = quad._root_many(lambda i, x: _slope_step(model.h, model.h_prime, x, t[i], lo), x0, lo)
+            else:
+                x, found = np.asarray(model.psi_closed(t), dtype=float), True
+            hp, h2 = model.h_prime(x), model.h_second(x)
+            d1, scale, q0, slope = 1.0 / hp, np.sqrt(1.0 / hp), model.q(x), t - model.h(x)
+            slope = np.where(np.abs(slope) <= 64.0 * (hp * np.spacing(np.abs(x)) + np.spacing(np.abs(t))), 0.0, slope)
+            c, sc = x[:, None], scale[:, None]
+            _, d, log_w, ends = quad._rule(c, sc, lo, np.inf)
+            log_terms = slope[:, None] * d - model.remainder(c, d) + (model.q(c + d) - q0[:, None]) + log_w
+            log_terms = np.where(log_w > -np.inf, log_terms, -np.inf)
+            total = quad._logsumexp(log_terms)
+            log_phi = t * x - model.g(x) + q0 + model.log_norm + total
+            u_mean, var_u, mu3_u = _moments(log_terms, total, d / sc)
+            tail = np.take_along_axis(log_terms, ends, -1)[:, 0] - total > quad._LOG_TAIL
+            ok &= found & (0.0 < hp) & (hp < np.inf) & (scale < np.inf) & (total < np.inf) & ~tail
+            ok &= np.isfinite(log_phi) & (scale**2 * var_u > 0.0)
+    except ExtremeGibbsError:  # a model function that takes only scalars: the scalar path takes every row
+        return none
+    return ok, (t, x + scale * u_mean, scale**2 * var_u, scale**3 * mu3_u, log_phi, x, d1, -h2 * d1**3)
+
+
+def _moments_many(model: DensityModel, ts) -> list[TiltParams]:
+    """``tilt_moments`` at each t of ``ts`` in one batch; ``tilt_moments`` itself takes a row the batch cannot."""
+    ok, cols = _saddle_many(model, np.asarray(ts, dtype=float))
+    return [TiltParams(*row) if good else tilt_moments(model, row[0]) for good, row in zip(ok, np.array(cols).T.tolist())]
+
+
 def log_mgf(model: DensityModel, t: float) -> float:
     """log E[e^(t X)] by saddle-centered quadrature."""
     return _mgf_quad(model, float(t))[1]
@@ -141,30 +189,17 @@ def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     """
     t = float(t)
     res, log_phi, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f=f)
-    p = np.exp(res.log_terms - res.log_value)
     if f is None:
         u, shift, unit = res.offsets, res.center, res.scale
     else:
         u, shift, unit = np.asarray(f(res.nodes), dtype=float), 0.0, 1.0
-    u_mean = float(np.sum(p * u))
-    du = u - u_mean
-    var_u = float(np.sum(p * du * du))
-    mu3_u = float(np.sum(p * du * du * du))
+    u_mean, var_u, mu3_u = map(float, _moments(res.log_terms, res.log_value, u))
     mean = shift + unit * u_mean
     s2 = unit**2 * var_u
     mu3 = unit**3 * mu3_u
     if not (s2 > 0):
         raise NumericError(f"tilted variance not positive at t={t!r}")
-    return TiltParams(
-        t=t,
-        a=mean,
-        s2=s2,
-        mu3=mu3,
-        log_phi=log_phi,
-        psi_val=psi_val,
-        psi_d1=psi_d1,
-        psi_d2=psi_d2,
-    )
+    return TiltParams(t, mean, s2, mu3, log_phi, psi_val, psi_d1, psi_d2)
 
 
 def solve_tilt(model: DensityModel, a: float, rtol: float = 1e-12, max_iter: int = 120, f=None) -> TiltParams:
@@ -210,6 +245,36 @@ def solve_tilt(model: DensityModel, a: float, rtol: float = 1e-12, max_iter: int
     return solved[-1]
 
 
+def solve_tilt_many(model: DensityModel, levels) -> list:
+    """``solve_tilt`` at each level (the identity statistic): its Newton steps from t0 = h(a) on all unsolved levels at
+    once.  A level the batch cannot finish by those steps, or a lone level, which is faster alone, goes to ``solve_tilt``.
+    Returns one :class:`TiltParams`, or the :class:`ExtremeGibbsError` ``solve_tilt`` raises, per level."""
+    a = np.asarray(levels, dtype=float).ravel()
+    if a.size > 256:  # bounded memory: a batch holds arrays of 173 nodes a level
+        return [tp for k in range(0, a.size, 256) for tp in solve_tilt_many(model, a[k : k + 256])]
+    try:  # a model function that takes only scalars leaves every level to solve_tilt
+        with np.errstate(all="ignore"):
+            t0, hp0 = model.h(a), model.h_prime(a)
+    except ExtremeGibbsError:
+        t0 = hp0 = np.full(a.shape, math.nan)
+    rows = np.flatnonzero((a.size > 1) & np.isfinite(a) & (a > model.support_lo) & np.isfinite(t0) & (hp0 < np.inf))
+    cols = np.full((8, rows.size), math.nan)
+
+    def step(i, t):
+        ok, cols[:, i] = _saddle_many(model, t)
+        m, s2 = cols[1, i], cols[2, i]
+        return np.where(ok, m - a[rows[i]], math.nan), t + (a[rows[i]] - m) / s2
+
+    _, found = quad._root_many(step, t0[rows], ftol=1e-12 * np.abs(a[rows]))
+    solved, out = dict(zip(rows[found].tolist(), cols[:, found].T.tolist())), []
+    for k, level in enumerate(a.tolist()):
+        try:
+            out.append(TiltParams(*solved[k]) if k in solved else solve_tilt(model, level))
+        except ExtremeGibbsError as err:
+            out.append(err)
+    return out
+
+
 @lru_cache(maxsize=4096)
 def solve_tilt_cached(model: DensityModel, a: float) -> TiltParams:
     """Memoized solve_tilt; models hash by identity, levels by exact value."""
@@ -217,7 +282,10 @@ def solve_tilt_cached(model: DensityModel, a: float) -> TiltParams:
 
 
 def log_tilted_density(model: DensityModel, tp: TiltParams, x) -> np.ndarray:
-    """Vectorized log of pi_t; -inf below the support and where p is 0, NaN at NaN."""
+    """Vectorized log of pi_t; -inf below the support and where p is 0, NaN at NaN.  NumericError
+    past t a = 1e18, where the rounding of t x alone passes 100."""
+    if not abs(tp.t * tp.a) < 1e18:
+        raise NumericError(f"tilted density at level {tp.a!r} is past float precision (t a = {tp.t * tp.a:.3e})")
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # t x = inf where p is 0: inf - inf
         out = tp.t * arr + model._log_density_clipped(arr)

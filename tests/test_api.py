@@ -67,6 +67,7 @@ PUBLIC = [
     "rate_function",
     "skewness_ratio",
     "solve_tilt",
+    "solve_tilt_many",
     "sum_density",
     "tail_probability",
     "tilt",

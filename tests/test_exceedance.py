@@ -304,19 +304,34 @@ class TestWindowOverTilt:
 
             return wrapper
 
-        def node_moments(model, t):
-            node_ts.append(t)
-            return tilt_moments(model, t)
+        def node_moments(model, ts):
+            node_ts.extend(np.asarray(ts).tolist())
+            return moments_many(model, ts)
 
+        def scalar_moments(*args, **kwargs):  # outside a solve, a node's row the batch left behind
+            counts["tilt_moments" if counts["open_solves"] == 0 else "tilt_moments_in_solve"] += 1
+            return tilt_moments(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            counts["solve_tilt"] += 1
+            counts["open_solves"] += 1
+            try:
+                return solve_tilt(*args, **kwargs)
+            finally:
+                counts["open_solves"] -= 1
+
+        moments_many, solve_tilt = exceedance._moments_many, tilt.solve_tilt
         # solve_tilt_cached calls tilt.solve_tilt, so this counts every solve past the cache
-        monkeypatch.setattr(tilt, "solve_tilt", counted("solve_tilt", tilt.solve_tilt))
+        monkeypatch.setattr(tilt, "solve_tilt", solve)
+        monkeypatch.setattr(tilt, "tilt_moments", scalar_moments)
         monkeypatch.setattr(exceedance, "sum_density", counted("sum_density", exceedance.sum_density))
-        monkeypatch.setattr(exceedance, "tilt_moments", node_moments)
+        monkeypatch.setattr(exceedance, "_moments_many", node_moments)
         assert main(["exceed", "--n", "16", "--a", "fixed:2", "--out", str(tmp_path)]) == 0
         assert counts["solve_tilt"] <= 2
         assert counts["sum_density"] == 0
-        # 32 window nodes, then the tail nodes, each once
+        # 32 window nodes, then the tail nodes, each once, all in the batch
         assert len(node_ts) == len(set(node_ts)) == 32 + exceedance._tail_rule()[0].size
+        assert counts["tilt_moments"] == 0
 
     def test_tail_takes_no_panel_walk(self, weibull2, monkeypatch):
         # the exceedance layer keeps only quad's logsumexp; tilt_moments keeps its own rule

@@ -1,7 +1,9 @@
 """Every public entry point that takes a count n, a level a or a tilt t, and
 with them a block ys, a point y or a window eta, ends in a result or in an
 ``ExtremeGibbsError`` subclass, with no RuntimeWarning, whatever number or
-array it is given.  scipy is not used."""
+array it is given; so do the oracles, the exceedance mixture and the
+Monte Carlo sampler, and ``solve_tilt_many`` gives each level the result or
+the error of ``solve_tilt``.  scipy is not used."""
 
 import math
 import warnings
@@ -57,6 +59,28 @@ WINDOW_ENTRY_POINTS = {
 }
 
 
+# the oracles' grids grow with n, so their counts stay small
+oracle_counts = st.one_of(st.sampled_from([0, -3, 1, 2.5, *_EDGES]), st.integers(-5, 12))
+
+
+def _oracle(model, n, v):
+    return eg.ConditionalOracle(model, n, v, step=0.02)
+
+
+ORACLE_ENTRY_POINTS = {
+    "ConditionalOracle": lambda model, n, v, w: _oracle(model, n, v),
+    "conditional_curve": lambda model, n, v, w: _oracle(model, n, v).conditional_curve(w),
+    "joint2_grid": lambda model, n, v, w: _oracle(model, n, v).joint2_grid(w, w),
+    "exceedance_curve": lambda model, n, v, w: _oracle(model, n, v).exceedance_curve(w),
+}
+MIXTURE_ENTRY_POINTS = {
+    "ExceedanceMixture": lambda model, n, v, w: eg.ExceedanceMixture(model, n, v, eta=w),
+    "ExceedanceMixture_modulated": lambda model, n, v, w: eg.ExceedanceMixture(model, n, v, "gaussian_modulated", w),
+    # an epsilon in place of the window
+    "mc_conditional_sample": lambda model, n, v, w: eg.mc_conditional_sample(model, n, v, 0.3 if w is None else w, 500, 7),
+}
+
+
 def _quietly(call, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -87,6 +111,47 @@ def test_block_entry_point_returns_or_raises_a_typed_error(name, model, n, v, w)
 @given(model=st.sampled_from(MODELS), n=counts, v=reals, w=windows)
 def test_window_entry_point_returns_or_raises_a_typed_error(name, model, n, v, w):
     _returns_or_raises_a_typed_error(WINDOW_ENTRY_POINTS[name], model, n, v, w)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ENTRY_POINTS))
+@given(model=st.sampled_from(MODELS), n=oracle_counts, v=reals, w=points)
+def test_oracle_returns_or_raises_a_typed_error(name, model, n, v, w):
+    _returns_or_raises_a_typed_error(ORACLE_ENTRY_POINTS[name], model, n, v, w)
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURE_ENTRY_POINTS))
+@given(model=st.sampled_from(MODELS), n=oracle_counts, v=reals, w=windows)
+def test_mixture_and_sampler_return_or_raise_a_typed_error(name, model, n, v, w):
+    _returns_or_raises_a_typed_error(MIXTURE_ENTRY_POINTS[name], model, n, v, w)
+
+
+_LEVEL_EDGES = [0.0, -0.0, -1.0, 1e-200, 1e300, -1e300, math.nan, math.inf, -math.inf, 0.5, 2.0, 40.0, 1e5]
+levels = st.lists(st.one_of(st.sampled_from(_LEVEL_EDGES), st.floats(allow_nan=True, allow_infinity=True)), max_size=6)
+
+
+@given(model=st.sampled_from(MODELS), levels=levels)
+def test_solve_tilt_many_gives_each_level_what_solve_tilt_gives(model, levels):
+    rows = _quietly(eg.solve_tilt_many, model, levels)
+    assert len(rows) == len(levels)
+    for a, row in zip(levels, rows):
+        try:
+            want = _quietly(eg.solve_tilt, model, a)
+        except ExtremeGibbsError as err:
+            assert type(row) is type(err) and str(row) == str(err)
+            continue
+        assert isinstance(row, eg.TiltParams)
+        for field in ("t", "a", "s2", "log_phi"):
+            assert getattr(row, field) == pytest.approx(getattr(want, field), rel=1e-14, abs=1e-300), field
+
+
+def test_solve_tilt_many_of_no_levels_is_empty():
+    assert eg.solve_tilt_many(eg.make_weibull(2.0), []) == []
+
+
+def test_an_infinite_window_is_a_domain_error_that_names_it():
+    # the end solve at a_n + eta raised "target mean inf outside the image of m"
+    with pytest.raises(eg.DomainError, match="window width eta"):
+        eg.ExceedanceMixture(eg.make_weibull(2.0), 16, 3.0, eta=math.inf)
 
 
 def test_huge_half_gaussian_level_warns_nothing(tmp_path):
