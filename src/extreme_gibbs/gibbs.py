@@ -27,8 +27,8 @@ import numpy as np
 
 from . import quad
 from .errors import DomainError, NumericError, RegimeWarning, _count
-from .model import DensityModel, _invert_slope
-from .tilt import TiltParams, log_tilted_density, solve_tilt, solve_tilt_cached
+from .model import DensityModel
+from .tilt import TiltParams, _mgf_quad, _solve, log_tilted_density, solve_tilt, solve_tilt_cached
 
 __all__ = [
     "Regime",
@@ -132,37 +132,32 @@ def _log_modulated(model: DensityModel, mu: float, var: float, y, f=None) -> np.
 
 
 def _modulated_params(
-    model: DensityModel, tp: TiltParams, rows: int, a_n: float, f=None
+    model: DensityModel, tp: TiltParams, rows: int, a_n: float, f=None, evaluation=None
 ) -> FastGrowthParams:
     """alpha, beta = rows s^2 and the quadrature normalizer of the modulated
-    density ``C p(y) N(alpha beta + a_n, beta)(f(y))`` tilted by ``tp``."""
+    density ``C p(y) N(alpha beta + a_n, beta)(f(y))`` tilted by ``tp``.
+
+    For the identity the normalizer is a sum over the nodes of the tilt's own
+    quadrature at tp.t: ``evaluation``, the solve's accepted (LogQuad, log
+    Phi), or else one taken anew, centred at tp.psi_val.  Completing the
+    square, ``e^(-t y) N(mu, beta)(y) = N(a_n + mu3/2, beta)(y) e^(beta t^2/2
+    - mu t)``, so C^-1 is the tilt's integral of that Gaussian.  A statistic
+    f has its own quadrature, centred by ``quad._locate``."""
     alpha = tp.t + tp.mu3 / (2.0 * rows * tp.s2)
     beta = rows * tp.s2
     mu = alpha * beta + a_n
-
-    def log_f(y):
-        return _log_modulated(model, mu, beta, y, f)
-
-    peak = None
     if f is None:
-        # root of h(y) + (y - mu)/beta = 0 from y = a_n, width 1/sqrt(h'(y) + 1/beta); q is ignored, as for the tilt
-        slope, curvature = (lambda y: model.h(y) + (y - mu) / beta), (lambda y: model.h_prime(y) + 1.0 / beta)
-        try:
-            yhat = _invert_slope(slope, curvature, 0.0, model.support_lo, float(a_n))
-            curv = float(curvature(yhat))
-            if 0.0 < curv < math.inf:
-                peak = yhat, 1.0 / math.sqrt(curv)
-        except (DomainError, NumericError):
-            pass
-    if peak is None:  # no interior root (a peak on the boundary), or a statistic f
-        x0, scale = (float(a_n), tp.s) if f is None else (max(model.h_zero, model.support_lo) + 1.0, 1.0)
-        peak = quad._locate(log_f, model.support_lo, x0, scale)
-    res = quad.log_integral(log_f, center=peak[0], scale=peak[1], lo=model.support_lo)
-    if not np.isfinite(res.log_value):
+        res, log_phi = evaluation or _mgf_quad(model, tp.t, xhat=tp.psi_val if np.isfinite(tp.psi_val) else None)[:2]
+        with np.errstate(over="ignore", invalid="ignore"):  # past float range: a NumericError below
+            log_terms = res.log_terms + _log_normal_pdf(a_n + 0.5 * tp.mu3, beta, res.nodes)
+            log_value = log_phi - res.log_value + quad._logsumexp(log_terms) + 0.5 * beta * tp.t * tp.t - mu * tp.t
+    else:
+        log_f = lambda y: _log_modulated(model, mu, beta, y, f)  # noqa: E731
+        peak = quad._locate(log_f, model.support_lo, max(model.h_zero, model.support_lo) + 1.0, 1.0)
+        log_value = quad.log_integral(log_f, center=peak[0], scale=peak[1], lo=model.support_lo).log_value
+    if not np.isfinite(log_value):
         raise NumericError("normalization integral of the modulated density failed")
-    return FastGrowthParams(
-        alpha=alpha, beta=beta, logC=-res.log_value, n=rows + 1, a_n=float(a_n), tp=tp
-    )
+    return FastGrowthParams(alpha, beta, -log_value, rows + 1, float(a_n), tp)
 
 
 def fast_growth_params(
@@ -246,8 +241,10 @@ def joint_moderate_approx(
 
 @lru_cache(maxsize=4096)
 def _fast_factor(model: DensityModel, rows: int, level: float, a_n: float) -> FastGrowthParams:
-    """One factor of the fast-growth joint product, memoized on its level."""
-    return _modulated_params(model, solve_tilt_cached(model, level), rows, a_n)
+    """One factor of the fast-growth joint product, memoized on its level; its
+    normalizer is summed on the nodes of the solve's accepted quadrature."""
+    tp, res = _solve(model, level)
+    return _modulated_params(model, tp, rows, a_n, evaluation=(res, tp.log_phi))
 
 
 def joint_fast_approx(model: DensityModel, n: int, a_n: float, ys) -> float:

@@ -421,12 +421,13 @@ class McSample:
 
 
 # nodes of the sampler's inverse-CDF table, proposal rows drawn per batch
-# (one random stream each), draws looked up per chunk (1 MB temporaries,
-# whatever the batch), and equal-probability cells of the guide table (a
-# power of two, so u * _GUIDE_CELLS is exact)
+# (one random stream each), draws looked up per chunk (128 kB temporaries,
+# whatever the batch, which stay in L2 cache next to the guide table; the
+# stream is read in the same order at any chunk size), and equal-probability
+# cells of the guide table (a power of two, so u * _GUIDE_CELLS is exact)
 _CDF_NODES = 20001
 _MC_BATCH = 65536
-_MC_CHUNK = 1 << 17
+_MC_CHUNK = 1 << 14
 _GUIDE_CELLS = 1 << 18
 
 

@@ -84,15 +84,16 @@ class TiltParams:
         return self.mu3 / s3
 
 
-def _mgf_quad(model: DensityModel, t: float, f=None):
+def _mgf_quad(model: DensityModel, t: float, f=None, xhat=None):
     """Quadrature of e^(t f(x)) p(x), log Phi_f(t), and psi, psi', psi'' at
     its centre (NaN if undefined).  For the identity at t in the range of h
-    the rule runs over offsets d from xhat = psi(t), on the log integrand
+    the rule runs over offsets d from xhat = psi(t) (taken as given when
+    ``xhat`` is not None), on the log integrand
     ``(t - h(xhat)) d - R(xhat, d) + q(xhat + d) - q(xhat)``."""
     res, psi = None, (math.nan,) * 3
     if f is None and t >= model.h_min:
         try:
-            xhat = model.psi(t)
+            xhat = model.psi(t) if xhat is None else xhat
             hp, h2 = float(model.h_prime(xhat)), float(model.h_second(xhat))
         except (DomainError, NumericError):
             hp = math.nan
@@ -179,16 +180,9 @@ def log_mgf(model: DensityModel, t: float) -> float:
     return _mgf_quad(model, float(t))[1]
 
 
-def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
-    """Mean, variance and third centered moment of the tilted density.
-
-    Computed as weighted moments of the quadrature offsets from the peak,
-    which avoids the catastrophic cancellation of forming central moments
-    around a large mean.  With a statistic ``f`` they are the moments of
-    f(X) under the f-tilt, taken from f at the same nodes.
-    """
-    t = float(t)
-    res, log_phi, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f=f)
+def _tilt_quad(model: DensityModel, t: float, f=None, xhat=None) -> tuple[TiltParams, quad.LogQuad]:
+    """``tilt_moments`` and the quadrature it read them from; ``xhat`` as in ``_mgf_quad``."""
+    res, log_phi, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f, xhat)
     if f is None:
         u, shift, unit = res.offsets, res.center, res.scale
     else:
@@ -199,7 +193,18 @@ def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
     mu3 = unit**3 * mu3_u
     if not (s2 > 0):
         raise NumericError(f"tilted variance not positive at t={t!r}")
-    return TiltParams(t, mean, s2, mu3, log_phi, psi_val, psi_d1, psi_d2)
+    return TiltParams(t, mean, s2, mu3, log_phi, psi_val, psi_d1, psi_d2), res
+
+
+def tilt_moments(model: DensityModel, t: float, f=None) -> TiltParams:
+    """Mean, variance and third centered moment of the tilted density.
+
+    Computed as weighted moments of the quadrature offsets from the peak,
+    which avoids the catastrophic cancellation of forming central moments
+    around a large mean.  With a statistic ``f`` they are the moments of
+    f(X) under the f-tilt, taken from f at the same nodes.
+    """
+    return _tilt_quad(model, float(t), f)[0]
 
 
 def solve_tilt(model: DensityModel, a: float, rtol: float = 1e-12, max_iter: int = 120, f=None) -> TiltParams:
@@ -216,27 +221,34 @@ def solve_tilt(model: DensityModel, a: float, rtol: float = 1e-12, max_iter: int
     1)``, because an f-target can be zero or negative.  A target outside the
     image of the mean of f is a :class:`DomainError`.
     """
+    return _solve(model, a, rtol, max_iter, f)[0]
+
+
+def _solve(model: DensityModel, a: float, rtol: float = 1e-12, max_iter: int = 120, f=None):
+    """``solve_tilt`` and the quadrature of its accepted evaluation.  The
+    first evaluation, at t0 = h(a), is centred at a itself where a lies on
+    the branch of h that psi inverts (a >= h_zero): psi(t0) is a there."""
     a = float(a)
     if not np.isfinite(a) or (f is None and a <= model.support_lo):
         raise DomainError(f"target mean {a!r} outside the image of m for {model.name!r}")
 
     if f is None:
         try:
-            t = float(model.h(a))
+            t, xhat = float(model.h(a)), (a if a >= model.h_zero else None)
         except (ValueError, FloatingPointError):
-            t = 0.0
+            t, xhat = 0.0, None
         if not np.isfinite(t):
             raise DomainError(f"initial tilt guess h({a!r}) is not finite")
         if float(model.h_prime(a)) == math.inf:
             raise DomainError(f"h'({a!r}) overflows: the tilted width is below float range")
         scale = abs(a)
     else:
-        t, scale = 0.0, max(abs(a), 1.0)
+        t, scale, xhat = 0.0, max(abs(a), 1.0), None
     solved = []
 
     def step(t):
-        solved.append(tilt_moments(model, t, f))
-        m, s2 = solved[-1].a, solved[-1].s2
+        solved.append(_tilt_quad(model, t, f, xhat if not solved else None))
+        m, s2 = solved[-1][0].a, solved[-1][0].s2
         # with f the first move is a unit step: Newton's can land next to a pole of Phi_f
         # (for x^2 under the half-Gaussian it goes from 0 to (a - 1)/2, and the pole is at 1/2)
         return m - a, math.nan if f is not None and len(solved) == 1 else t + (a - m) / s2

@@ -8,8 +8,9 @@ from dataclasses import replace
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extreme_gibbs import quad
-from extreme_gibbs.errors import DomainError, RegimeWarning
+from extreme_gibbs import gibbs, quad, tilt
+from extreme_gibbs import model as model_module
+from extreme_gibbs.errors import DomainError, ExtremeGibbsError, RegimeWarning
 from extreme_gibbs.gibbs import (
     classify_regime,
     f_tilted_approx,
@@ -23,7 +24,8 @@ from extreme_gibbs.gibbs import (
     variance_power_fit,
     z_statistics,
 )
-from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull
+from extreme_gibbs.gibbs import _fast_factor
+from extreme_gibbs.model import DensityModel, make_exp_exponential, make_half_gaussian, make_weibull
 from extreme_gibbs.oracle import get_oracle, tv_distance
 from extreme_gibbs.quad import log_integral
 from extreme_gibbs.tilt import solve_tilt, tilt_moments, tilted_density
@@ -157,21 +159,24 @@ def _mp_log_c(model, mu, beta, stat, y0):
 
 
 # (model, fast-growth (n, a_n) levels, relative tolerance on logC against
-# mpmath, floor of the unit-mass check)
+# mpmath, floor of the unit-mass check); n = 2 and 4 (one and three rows) give
+# the modulated integrand its narrowest width next to the tilt's nodes
 _SADDLE_CASES = [
-    (make_weibull(2.0), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
-    (make_weibull(4.0), [(16, 3.0), (128, 5.0), (1024, 9.0)], 1e-14, 1e-12),
-    (make_exp_exponential(), [(16, 3.0), (128, 4.0), (1024, 6.0)], 1e-14, 1e-12),
-    (make_half_gaussian(), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
+    (make_weibull(2.0), [(2, 3.0), (4, 3.0), (16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
+    (make_weibull(4.0), [(2, 1.5), (4, 1.5), (16, 3.0), (128, 5.0), (1024, 9.0)], 1e-14, 1e-12),
+    (make_exp_exponential(), [(2, 3.0), (4, 3.0), (16, 3.0), (128, 4.0), (1024, 6.0)], 1e-14, 1e-12),
+    (make_half_gaussian(), [(2, 3.0), (4, 3.0), (16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
     # p(y) ~ y^0.5 at 0: the Gauss-Legendre panels needed 1e-9 and 1e-7 here; the
     # double-exponential rule takes the endpoint
-    (make_weibull(1.5), [(16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
+    (make_weibull(1.5), [(2, 3.0), (4, 3.0), (16, 3.0), (32, 16.0), (128, 30.0)], 1e-14, 1e-12),
 ]
 
 
 @pytest.mark.parametrize("model,levels,rel,floor", _SADDLE_CASES, ids=[c[0].name for c in _SADDLE_CASES])
 class TestModulatedSaddle:
-    """The modulated normalizer is centred at the root of h(y) + (y - mu)/beta = 0."""
+    """The modulated normalizer is a sum over the nodes of the tilt's own
+    quadrature at tp.t, with no root-find and no quadrature of its own:
+    against mpmath, as a unit mass, and in its cost per joint level."""
 
     def test_no_peak_search_with_a_given_tilt(self, model, levels, rel, floor, monkeypatch):
         tps = [(n, a, solve_tilt(model, a)) for n, a in levels]
@@ -203,6 +208,83 @@ class TestModulatedSaddle:
             )
             # the exponent is formed in absolute terms, so it carries a rounding of a few eps * |logC|
             assert abs(res.log_value) <= floor + 4.0 * np.finfo(float).eps * abs(fp.logC), (n, a)
+
+    def test_a_new_joint_level_costs_only_its_solve(self, model, levels, rel, floor, monkeypatch):
+        # the normalizer adds no quadrature and no root-find to the solve,
+        # whose first evaluation is centred at the level, without psi
+        counts = _spy_costs(monkeypatch)
+        n, a = levels[-1]
+        level = a * (1.0 + 1e-3)  # a level no other test has solved
+        tilt._solve(model, level)
+        solve = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        _fast_factor.cache_clear()
+        _fast_factor(model, n - 1, level, a)
+        assert counts == solve
+        assert counts["log_integral"] == counts["_mgf_quad"] and counts["_locate"] == 0
+        assert counts["psi"] == counts["_mgf_quad"] - 1
+        assert counts["_invert_slope"] == (0 if model.psi_closed is not None else counts["psi"])
+
+
+def _spy_costs(monkeypatch) -> dict:
+    """Calls of the tilt's evaluation, the quadrature, the locator, psi and
+    the slope inversion, counted from here on."""
+    counts = {}
+
+    def spy(owner, name):
+        real, counts[name] = getattr(owner, name), 0
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in [(tilt, "_mgf_quad"), (quad, "log_integral"), (quad, "_locate"), (DensityModel, "psi")]:
+        spy(owner, name)
+    spy(model_module, "_invert_slope")
+    return counts
+
+
+def test_a_joint_level_takes_two_evaluations_and_one_psi(weibull2, monkeypatch):
+    # the second factor of joint_fast_approx(weibull2, 32, 16, [y1, y2]):
+    # one root-find (psi at the second evaluation) and two quadratures, where
+    # the normalizer's own saddle root-find and quadrature made three of each
+    assert not hasattr(gibbs, "_invert_slope")
+    counts = _spy_costs(monkeypatch)
+    _fast_factor.cache_clear()
+    _fast_factor(weibull2, 31, (32 * 16.0 - 16.5) / 31, 16.0)
+    assert counts == {"_mgf_quad": 2, "log_integral": 2, "_locate": 0, "psi": 1, "_invert_slope": 1}
+
+
+_PARITY_MODELS = [make_weibull(1.5), make_weibull(2.0), make_weibull(4.0), make_exp_exponential(), make_half_gaussian()]
+
+
+@pytest.mark.parametrize("model", _PARITY_MODELS, ids=[m.name for m in _PARITY_MODELS])
+def test_normalizer_on_the_tilt_nodes_matches_its_own_quadrature(model, saddle_normalizer):
+    # logC of fast_growth_params and of a joint factor against the root-found
+    # quadrature of p(y) N(mu, beta)(y) that the tilt's nodes replaced; a
+    # level that fails must fail with the same error type
+    def outcomes():
+        out = {}
+        for n in (2, 4, 16, 128, 1024):
+            for a in (1.5, 3.0, 16.0, 30.0):
+                for name, call in (("params", fast_growth_params), ("factor", lambda m, n, a: _fast_factor(m, n - 1, a, a))):
+                    try:
+                        out[n, a, name] = call(model, n, a).logC
+                    except ExtremeGibbsError as err:
+                        out[n, a, name] = type(err)
+        return out
+
+    after = outcomes()
+    with saddle_normalizer():
+        before = outcomes()
+    for key, old in before.items():
+        new = after[key]
+        if isinstance(old, type) or isinstance(new, type):
+            assert new is old, (key, old, new)
+        else:
+            assert abs(new - old) <= 1e-14 * abs(old), (key, old, new)
 
 
 class TestJointBlocks:

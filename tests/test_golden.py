@@ -72,16 +72,33 @@ Measured against the parent's file, relative: ``t`` 8.1e-16, ``m`` 2.0e-16,
 skewness of 1.1e-4); ``t`` is bitwise equal in 18 of the 20 rows.
 ``tests/test_tilt_many.py`` holds the batch to the scalar solver within
 1e-14.  The ``gibbs``, ``exceed`` and ``validate`` digests did not move.
+
+The ``gibbs`` digest was re-recorded when the fast-growth normalizer moved
+onto the nodes of the tilt's own quadrature (no saddle root-find and no
+quadrature of its own), and each solve's first evaluation, at t0 = h(a),
+was centred at a instead of psi(t0).  Measured against the parent's files,
+relative: ``curve_fast_growth_n32.csv`` 5.7e-14, ``gibbs.csv`` 5.4e-13
+(the ``fast_growth`` rows' ``tv`` and ``sup_gap``); the n = 16 and tilted
+curves did not move.  ``test_gibbs_move_is_held`` holds the files, and
+``test_joint_and_fast_growth_values_are_held`` the joint products (5.5e-12
+measured) and normalizers, within 1e-11 relative of the root-found
+normalizer; ``test_scalar_solves_are_held`` holds the solves within 2e-15.
+The ``tilt``, ``exceed`` and ``validate`` digests did not move.
 """
 
+import csv
 import hashlib
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from extreme_gibbs import gibbs, tilt
 from extreme_gibbs.cli import main
+from extreme_gibbs.errors import ExtremeGibbsError
+from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull
 
 RUNS = {
     "tilt": ["tilt", "--model", "weibull:k=4", "--a-grid", "2:1e4:20:log"],
@@ -96,10 +113,10 @@ DIGESTS = {
     },
     "gibbs": {
         "curve_fast_growth_n16.csv": "bfbeacf982846d4756a1801f0694e98d5a0a38c23239d4a5c0b048b893e98c2c",
-        "curve_fast_growth_n32.csv": "095abac8144fdfd3a74e0fd5e025e208cea25ffffb52ee6999ec242b029db0cd",
+        "curve_fast_growth_n32.csv": "eac802295f6c52b49d80692e7dd2e291ad8d819c468e95c2566bb447a5a5085b",
         "curve_tilted_n16.csv": "43eab06d21f91439ba1ac1afa7202482f9247d54f6f38c9e8d82577472c09b86",
         "curve_tilted_n32.csv": "3d30c49fe01185ce17a735923fc5e7e3d278231f996c75af166c7f4e5e3ecdd4",
-        "gibbs.csv": "e1c9c209962e07a3eaddfdac3f9df184a12a7bfa67e0fc69d6b54f047b04c9d4",
+        "gibbs.csv": "1b0cf48777673a5617e7afc6e5b6f882fffc1aa539e2ac606ded5cab85613a69",
     },
     "exceed": {
         "curve_exceed_n16.csv": "5b8b16ecf8a529bbe8d6f27b845ebabec8b9be9ef70ddb5055cbc4bd49083082",
@@ -120,6 +137,72 @@ def _digests(command: str, out: Path) -> dict[str, str]:
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_outputs_match_recorded_digests(command, tmp_path):
     assert _digests(command, tmp_path) == DIGESTS[command]
+
+
+def _cells(path: Path) -> tuple[list, np.ndarray]:
+    """The text cells and the numbers of a written CSV, header included."""
+    rows = [row for row in csv.reader(path.read_text().splitlines()) if row and not row[0].startswith("#")]
+    text, numbers = [], []
+    for cell in (cell for row in rows for cell in row):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            text.append(cell)
+    return text, np.array(numbers)
+
+
+def test_gibbs_move_is_held(tmp_path, saddle_normalizer):
+    assert main(RUNS["gibbs"] + ["--out", str(tmp_path / "now")]) == 0
+    with saddle_normalizer():
+        assert main(RUNS["gibbs"] + ["--out", str(tmp_path / "before")]) == 0
+    for path in sorted((tmp_path / "before").iterdir()):
+        (old_text, old), (new_text, new) = _cells(path), _cells(tmp_path / "now" / path.name)
+        assert new_text == old_text
+        np.testing.assert_allclose(new, old, rtol=1e-11, atol=0.0, err_msg=path.name)
+
+
+def test_joint_and_fast_growth_values_are_held(saddle_normalizer):
+    # Weibull k=2 at n = 32, a_n = 16: joint products over a y1 grid and a
+    # sweep of normalizers, as the benchmark's fast-growth calls make them
+    model, n, a_n = make_weibull(2.0), 32, 16.0
+
+    def values():
+        joint = [gibbs.joint_fast_approx(model, n, a_n, [y, a_n]) for y in a_n + 0.02 * np.arange(-247, 247, 13)]
+        sweep = [gibbs.fast_growth_params(model, m, a).logC for m in (16, 32, 64, 128, 256) for a in (4.0, 8.0, 16.0, 32.0)]
+        return np.array(joint + sweep)
+
+    now = values()
+    with saddle_normalizer():
+        before = values()
+    np.testing.assert_allclose(now, before, rtol=1e-11, atol=0.0)
+
+
+_SOLVE_MODELS = [make_weibull(1.5), make_weibull(2.0), make_weibull(4.0), make_exp_exponential(), make_half_gaussian()]
+
+
+@pytest.mark.parametrize("model", _SOLVE_MODELS, ids=[m.name for m in _SOLVE_MODELS])
+def test_scalar_solves_are_held(model, saddle_normalizer):
+    # the first evaluation of a solve is centred at a, not at psi(h(a)), which
+    # lies within a few ulps of it; t, m, s2, log Phi and psi move by at most
+    # 2e-15 relative over 120 levels from 1 to 60, or fail with the same type
+    def solves():
+        out = []
+        for a in np.geomspace(1.0, 60.0, 120):
+            try:
+                tp = tilt.solve_tilt(model, float(a))
+                out.append(np.array([tp.t, tp.a, tp.s2, tp.log_phi, tp.psi_val]))
+            except ExtremeGibbsError as err:
+                out.append(type(err))
+        return out
+
+    now = solves()
+    with saddle_normalizer():
+        before = solves()
+    for a, new, old in zip(np.geomspace(1.0, 60.0, 120), now, before):
+        if isinstance(old, type) or isinstance(new, type):
+            assert new is old, (a, old, new)
+        else:
+            np.testing.assert_allclose(new, old, rtol=2e-15, atol=0.0, err_msg=f"a = {a!r}")
 
 
 if __name__ == "__main__":

@@ -138,14 +138,15 @@ def test_one_rule_of_at_most_256_nodes(lo, hi):
 def test_a_level_that_misses_rtol_raises(weibull2, monkeypatch):
     # no relaxed floor: a mean that is pushed 1e-10 relative away from the
     # level puts rtol = 1e-12 out of reach, and the solve ends in the typed
-    # stall error (the 1e-9 floor used to return such a level)
-    real, a = tilt.tilt_moments, 3.0
+    # stall error (the 1e-9 floor used to return such a level); the solve
+    # evaluates through tilt._tilt_quad, which also returns its quadrature
+    real, a = tilt._tilt_quad, 3.0
 
-    def off_by_1e10(model, t, f=None):
-        tp = real(model, t, f)
-        return dataclasses.replace(tp, a=tp.a + math.copysign(1e-10 * a, tp.a - a))
+    def off_by_1e10(model, t, f=None, xhat=None):
+        tp, res = real(model, t, f, xhat)
+        return dataclasses.replace(tp, a=tp.a + math.copysign(1e-10 * a, tp.a - a)), res
 
-    monkeypatch.setattr(tilt, "tilt_moments", off_by_1e10)
+    monkeypatch.setattr(tilt, "_tilt_quad", off_by_1e10)
     with pytest.raises(NumericError, match="stalled"):
         tilt.solve_tilt(weibull2, a)
 

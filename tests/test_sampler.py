@@ -123,6 +123,18 @@ def test_chunked_lookup_peak_memory(weibull2):
     assert peaks[0] <= 1.1 * peaks[1], peaks
 
 
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 17], ids=["2^10", "2^17"])
+def test_chunk_size_leaves_the_sample_bitwise_equal(weibull2, chunk, monkeypatch):
+    # the chunks read each batch's random stream in order, so the chunk size
+    # changes only the cache footprint of the lookup, never a draw
+    eps = solve_tilt_cached(weibull2, 3.0).s / (2 * math.sqrt(32))
+    default = oracle.mc_conditional_sample(weibull2, 32, 3.0, eps, 100_000, seed=4)
+    monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+    other = oracle.mc_conditional_sample(weibull2, 32, 3.0, eps, 100_000, seed=4)
+    assert other.x1.size > 0
+    assert other.x1.tobytes() == default.x1.tobytes()
+
+
 @pytest.mark.parametrize(
     "bad",
     [{"n_draws": 1000.0}, {"n": 8.0}, {"n": 0}, {"seed": -1}, {"seed": 1.5}],
