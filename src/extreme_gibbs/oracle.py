@@ -173,24 +173,20 @@ def _convolve_pair(a: GridDensity, b: GridDensity) -> GridDensity:
     if n_out > _MAX_GRID_POINTS:
         raise ResourceError(f"convolution of {n_out} nodes exceeds the memory guard; coarsen the step")
     # half-weight endpoints make the discrete sum a trapezoid rule on the
-    # overlap, which matters when a density jumps at its support edge
-    av = a.values.copy()
-    bv = b.values.copy()
-    av[0] *= 0.5
-    av[-1] *= 0.5
-    bv[0] *= 0.5
-    bv[-1] *= 0.5
+    # overlap (a density may jump at its support edge); squares take one rfft
     nfft = _fast_len(n_out)
-    vals = np.fft.irfft(np.fft.rfft(av, nfft) * np.fft.rfft(bv, nfft), nfft)[:n_out] * a.step
+    fa = np.fft.rfft(np.r_[0.5 * a.values[0], a.values[1:-1], 0.5 * a.values[-1]], nfft)
+    fb = fa if b is a else np.fft.rfft(np.r_[0.5 * b.values[0], b.values[1:-1], 0.5 * b.values[-1]], nfft)
+    vals = np.fft.irfft(fa * fb, nfft)[:n_out] * a.step
     # zero everything under the round-off floor (negative noise included)
     # and drop the zero runs at both ends; lo moves by whole steps, so the
     # power stays on the base lattice
     vals[vals < _ROUNDOFF_FLOOR * vals.max()] = 0.0
-    kept = np.flatnonzero(vals)
-    if kept.size < 2:
+    first, last = np.argmax(vals != 0.0), n_out - 1 - np.argmax(vals[::-1] != 0.0)
+    if first == last or vals[first] == 0.0:
         raise NumericError("convolution power has fewer than two nodes above the round-off floor")
-    vals = vals[kept[0] : kept[-1] + 1].copy()
-    lo = a.lo + b.lo + a.step * kept[0]
+    vals = vals[first : last + 1]  # a view: normalized() below copies it
+    lo = a.lo + b.lo + a.step * first
     hi = lo + a.step * (len(vals) - 1)
     return GridDensity(lo, hi, a.step, vals, float(np.trapezoid(vals, dx=a.step))).normalized()
 
@@ -231,10 +227,7 @@ class ConvolutionTable:
 def _log_interp(grid: GridDensity, v) -> np.ndarray:
     """Log of linearly interpolated grid values; -inf outside or at zeros."""
     vals = grid.interp(v)
-    out = np.full(np.shape(vals), -np.inf)
-    pos = vals > 0
-    out[pos] = np.log(vals[pos])
-    return out
+    return np.log(vals, out=np.full(vals.shape, -np.inf), where=vals > 0)
 
 
 def _cell_log_integrals(x: np.ndarray, logf: np.ndarray) -> np.ndarray:
@@ -272,6 +265,18 @@ def _tilted_table(model: DensityModel, a_n: float, step: float, pad: float) -> C
             )
             table = _TABLES[model, a_n, step, pad] = ConvolutionTable(base, tp)
     return table
+
+
+def _antidiagonal_sums(y1: np.ndarray, y2: np.ndarray) -> np.ndarray | None:
+    """y1_i + y2_j by i + j (along row 0, then the last column) when both grids are
+    uniform with one step, to 8 eps of each grid's largest |node|; else None."""
+    if min(len(y1), len(y2)) < 2:
+        return None
+    with np.errstate(all="ignore"):
+        h = (y1[-1] - y1[0]) / (len(y1) - 1)
+        off = max(np.abs(y - (y[0] + h * np.arange(len(y)))).max() / np.abs(y).max() for y in (y1, y2))
+        sums = np.concatenate((y1 + y2[0], y1[-1] + y2[1:]))
+    return sums if off <= 8.0 * np.finfo(float).eps and np.isfinite(sums).all() else None
 
 
 class ConditionalOracle:
@@ -319,15 +324,21 @@ class ConditionalOracle:
         return np.exp(self._log_conditional(logs, self.n * self.a_n - ys, 1))
 
     def joint2_grid(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Density of (X_1, X_2) given the sum equals n a_n, on y1 x y2."""
+        """Density of (X_1, X_2) given the sum equals n a_n, on y1 x y2; uniform grids of
+        one step take f_(n-2) at the 2G - 1 sums y1_i + y2_j by i + j (a Hankel matrix)."""
         if self.n <= 2:
             raise DomainError("joint conditional needs n > 2")
         y1, y2 = _block(y1), _block(y2)
         self.table.power(self.n - 2)  # convolve first: its memory peak and the grids' must not add up
         l1 = log_tilted_density(self.model, self.tp, y1)
-        l2 = log_tilted_density(self.model, self.tp, y2)
-        rest = self.n * self.a_n - (y1[:, None] + y2[None, :])
-        return np.exp(self._log_conditional(l1[:, None] + l2[None, :], rest, 2))
+        l2 = l1 if np.array_equal(y1, y2) else log_tilted_density(self.model, self.tp, y2)
+        if (sums := _antidiagonal_sums(y1, y2)) is None:
+            rest = self.n * self.a_n - (y1[:, None] + y2[None, :])
+            return np.exp(self._log_conditional(l1[:, None] + l2[None, :], rest, 2))
+        hankel = self._log_conditional(0.0, self.n * self.a_n - sums, 2)  # [i + j] through a strided view
+        out = np.lib.stride_tricks.sliding_window_view(hankel, len(y2)) + l1[:, None]
+        out += l2
+        return np.exp(out, out=out)
 
     # -- exceedance conditional and tails -------------------------------------
 
@@ -587,6 +598,21 @@ def tv_from_values(fv: np.ndarray, gv: np.ndarray, cell: float) -> float:
     if not (fs > 0 and gs > 0):
         raise DomainError("both value arrays must carry positive mass")
     return float(0.5 * np.sum(np.abs(fv / fs - gv / gs)) * cell)
+
+
+def _joint_tv(joint: np.ndarray, marg: np.ndarray, cell: float) -> TVResult:
+    """``tv_from_values(joint.ravel(), outer.ravel(), cell)`` and ``max |joint -
+    outer|`` for ``outer = np.outer(marg, marg)``, taken in blocks of rows."""
+    fs, gs = joint.sum() * cell, marg.sum() ** 2 * cell
+    if not (fs > 0 and gs > 0):
+        raise DomainError("both value arrays must carry positive mass")
+    rows = max(1, (1 << 15) // len(marg))  # 2^15 values: 256 kB temporaries
+    l1 = gap = 0.0
+    for i in range(0, len(joint), rows):
+        part, prod = joint[i : i + rows], np.outer(marg[i : i + rows], marg)
+        gap = np.maximum(gap, np.abs(part - prod).max())
+        l1 += np.abs(part / fs - prod / gs).sum()
+    return TVResult(float(0.5 * l1 * cell), float(gap))
 
 
 def tv_histogram(samples: np.ndarray, density, lo: float, hi: float, bins: int) -> float:

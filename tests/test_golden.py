@@ -84,6 +84,16 @@ curves did not move.  ``test_gibbs_move_is_held`` holds the files, and
 measured) and normalizers, within 1e-11 relative of the root-found
 normalizer; ``test_scalar_solves_are_held`` holds the solves within 2e-15.
 The ``tilt``, ``exceed`` and ``validate`` digests did not move.
+
+The ``gibbs`` digest was re-recorded when ``joint2_grid`` filled uniform
+grids of one step from the 2G - 1 anti-diagonal sums (a Hankel matrix) and
+the ``joint_common_k2`` row was scored in row blocks instead of on the
+flattened outer product.  Only that row of ``gibbs.csv`` moved, measured
+against the parent's file: ``tv`` by 1.5e-15 relative and ``sup_gap`` by
+2.4e-15 relative.  ``test_joint_move_is_held`` holds ``tv`` within 1e-13
+relative and ``sup_gap`` within 1e-13 of the grid's peak against the
+outer-sum grid scored on the flat product; the curve files and the
+``tilt``, ``exceed`` and ``validate`` digests did not move.
 """
 
 import csv
@@ -95,10 +105,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extreme_gibbs import gibbs, tilt
+from extreme_gibbs import gibbs, oracle, tilt
 from extreme_gibbs.cli import main
 from extreme_gibbs.errors import ExtremeGibbsError
-from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull
+from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull, model_from_spec
 
 RUNS = {
     "tilt": ["tilt", "--model", "weibull:k=4", "--a-grid", "2:1e4:20:log"],
@@ -116,7 +126,7 @@ DIGESTS = {
         "curve_fast_growth_n32.csv": "eac802295f6c52b49d80692e7dd2e291ad8d819c468e95c2566bb447a5a5085b",
         "curve_tilted_n16.csv": "43eab06d21f91439ba1ac1afa7202482f9247d54f6f38c9e8d82577472c09b86",
         "curve_tilted_n32.csv": "3d30c49fe01185ce17a735923fc5e7e3d278231f996c75af166c7f4e5e3ecdd4",
-        "gibbs.csv": "1b0cf48777673a5617e7afc6e5b6f882fffc1aa539e2ac606ded5cab85613a69",
+        "gibbs.csv": "2b374eead5d02759a2a8a37494a4f597da16fcf0a1df38e02952287a4f02e46d",
     },
     "exceed": {
         "curve_exceed_n16.csv": "5b8b16ecf8a529bbe8d6f27b845ebabec8b9be9ef70ddb5055cbc4bd49083082",
@@ -175,6 +185,24 @@ def test_joint_and_fast_growth_values_are_held(saddle_normalizer):
     with saddle_normalizer():
         before = values()
     np.testing.assert_allclose(now, before, rtol=1e-11, atol=0.0)
+
+
+def test_joint_move_is_held(tmp_path, monkeypatch):
+    # the joint_common_k2 rows against the outer-sum grid scored on the
+    # flattened outer product, as cmd_gibbs computed them before
+    assert main(RUNS["gibbs"] + ["--out", str(tmp_path)]) == 0
+    rows = [row for row in csv.reader((tmp_path / "gibbs.csv").read_text().splitlines()) if row[0] == "joint_common_k2"]
+    assert [int(row[2]) for row in rows] == [16, 32]
+    monkeypatch.setattr(oracle, "_antidiagonal_sums", lambda y1, y2: None)
+    model = model_from_spec("weibull:k=2")
+    for row in rows:
+        orc = oracle.ConditionalOracle(model, int(row[2]), 3.0)
+        grid = np.arange(max(model.support_lo, 3.0 - 8 * orc.tp.s), 3.0 + 8 * orc.tp.s, 0.01)
+        joint = orc.joint2_grid(grid, grid)
+        prod = np.outer(*2 * [np.exp(tilt.log_tilted_density(model, orc.tp, grid))])
+        tv = oracle.tv_from_values(joint.ravel(), prod.ravel(), 1e-4)
+        assert float(row[4]) == pytest.approx(tv, rel=1e-13, abs=0.0)
+        assert abs(float(row[5]) - np.max(np.abs(joint - prod))) <= 1e-13 * joint.max()
 
 
 _SOLVE_MODELS = [make_weibull(1.5), make_weibull(2.0), make_weibull(4.0), make_exp_exponential(), make_half_gaussian()]
