@@ -22,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -213,6 +214,13 @@ def _check_block(n: int, ys) -> tuple[int, np.ndarray]:
     return n, ys
 
 
+def _levels(n: int, a_n: float, ys) -> list[float]:
+    """The k + 1 levels ``m_j = (n a_n - s_1^j) / (n - j)``, j = 0..k, of a block: partial
+    sums added in order, in Python floats, whose inf - inf is a NaN with no RuntimeWarning."""
+    total = float(n * a_n)
+    return [(total - s) / (n - j) for j, s in enumerate(accumulate(map(float, ys), initial=0.0))]
+
+
 def joint_moderate_approx(
     model: DensityModel, n: int, a_n: float, ys, mode: str = "common_tilt"
 ) -> float:
@@ -229,12 +237,8 @@ def joint_moderate_approx(
         return _joint_value(np.sum(log_tilted_density(model, tp, ys)))
     if mode == "per_index_tilt":
         total = 0.0
-        partial = 0.0
-        for i, y in enumerate(ys, start=1):
-            partial += float(y)
-            m_i = (n * a_n - partial) / (n - i)
-            tp_i = solve_tilt_cached(model, m_i)
-            total += float(log_tilted_density(model, tp_i, np.asarray([y]))[0])
+        for y, m_i in zip(ys, _levels(n, a_n, ys)[1:]):
+            total += float(log_tilted_density(model, solve_tilt_cached(model, m_i), np.asarray([y]))[0])
         return _joint_value(total)
     raise DomainError(f"unknown mode {mode!r}; use 'common_tilt' or 'per_index_tilt'")
 
@@ -257,13 +261,9 @@ def joint_fast_approx(model: DensityModel, n: int, a_n: float, ys) -> float:
     """
     n, ys = _check_block(n, ys)
     total = 0.0
-    partial = 0.0
-    for i, y in enumerate(ys, start=1):
-        rows = n - i + 1
-        m_i = (n * a_n - partial) / rows
-        fp = _fast_factor(model, rows, m_i, float(a_n))
+    for i, (y, m_i) in enumerate(zip(ys, _levels(n, a_n, ys))):
+        fp = _fast_factor(model, n - i, m_i, float(a_n))
         total += float(log_fast_growth(fp, model, np.asarray([y]))[0])
-        partial += float(y)
     return _joint_value(total)
 
 
@@ -334,13 +334,10 @@ def z_statistics(model: DensityModel, n: int, a_n: float, ys) -> np.ndarray:
     if k >= n - 1:
         raise DomainError("need k < n - 1 for the z statistics")
     out = np.empty(k)
-    partial = 0.0
-    for i in range(k):
-        m_i = (n * a_n - partial) / (n - i)
+    for i, (y, m_i) in enumerate(zip(ys, _levels(n, a_n, ys))):
         tp_i = solve_tilt_cached(model, m_i)
         with np.errstate(over="ignore"):  # +-inf for a coordinate far out
-            out[i] = (m_i - ys[i]) / (tp_i.s * math.sqrt(n - i - 1))
-        partial += float(ys[i])
+            out[i] = (m_i - y) / (tp_i.s * math.sqrt(n - i - 1))
     return out
 
 

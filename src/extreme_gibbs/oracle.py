@@ -162,7 +162,8 @@ def discretize(source, lo: float, hi: float, step: float, clipped_mass: float | 
 
 def _fast_len(n: int) -> int:
     """Smallest 2^i 3^j 5^k >= n: a length pocketfft transforms quickly."""
-    odd = (3**j * 5**k for j in range(n.bit_length()) for k in range(n.bit_length()))
+    js, ks = (range(math.ceil(math.log(2 * n, b)) + 1) for b in (3, 5))  # the answer is < 2n
+    odd = (3**j * 5**k for j in js for k in ks)
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
@@ -442,22 +443,11 @@ _MC_CHUNK = 1 << 14
 _GUIDE_CELLS = 1 << 18
 
 
-def _inverse_cdf_table(model: DensityModel, tp: TiltParams | None):
-    """Inverse-CDF sampler table for the tilted (or raw) density."""
-    if tp is not None:
-        s = tp.s
-        lo = max(model.support_lo, tp.a - 14.0 * s)
-        hi = tp.a + 14.0 * s
-        xs = np.linspace(lo, hi, _CDF_NODES)
-        vals = np.exp(log_tilted_density(model, tp, xs))
-    else:
-        lo = model.support_lo
-        hi = max(model.h_zero, lo) + 1.0
-        peak = float(np.max(model._log_density_clipped(np.linspace(lo, hi, 64))))
-        while float(model._log_density_clipped(np.asarray([hi]))[0]) > peak - 80.0:
-            hi = lo + 2.0 * (hi - lo)
-        xs = np.linspace(lo, hi, _CDF_NODES)
-        vals = np.exp(model._log_density_clipped(xs))
+def _inverse_cdf_table(model: DensityModel, tp: TiltParams):
+    """Inverse-CDF sampler table for the density tilted by ``tp``, over tp.a +- 14 tp.s."""
+    lo = max(model.support_lo, tp.a - 14.0 * tp.s)
+    xs = np.linspace(lo, tp.a + 14.0 * tp.s, _CDF_NODES)
+    vals = np.exp(log_tilted_density(model, tp, xs))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
     return xs, cdf
@@ -509,25 +499,22 @@ def mc_conditional_sample(
     epsilon: float,
     n_draws: int,
     seed: int,
-    proposal: str = "tilted",
 ) -> McSample:
     """Sample X_1 given |S_n / n - a_n| <= epsilon by accept/reject.
 
-    Proposals are rows of n i.i.d. draws from the tilted density at level
-    a_n (or from the raw density with ``proposal="raw"``, which is useful
-    only to demonstrate how badly that performs).  Streams are derived from
-    ``(seed, batch_index)`` so identical seeds give bit-identical output and
-    batches are independent.
+    Proposals are rows of n i.i.d. draws from the density tilted at a_n, whose
+    row means concentrate at a_n (raw draws would be accepted with a
+    probability exponentially small in n).  Streams come from ``(seed,
+    batch_index)``, so identical seeds give bit-identical output.  An
+    acceptance rate below 1e-6 is a ``NumericError``.
     """
     n = _count("n", n, 1)
     n_draws = _count("n_draws", n_draws, 1)
     seed = _count("seed", seed, 0)
     if not (epsilon > 0):
         raise DomainError("epsilon must be positive")
-    if proposal not in ("tilted", "raw"):
-        raise DomainError(f"proposal must be 'tilted' or 'raw', got {proposal!r}")
     tp = solve_tilt_cached(model, float(a_n))
-    inverse_cdf = _GuideTable(*_inverse_cdf_table(model, tp if proposal == "tilted" else None))
+    inverse_cdf = _GuideTable(*_inverse_cdf_table(model, tp))
 
     # accepted draws, grown in place (realloc) chunk by chunk so that they are held once
     x1 = np.empty(0)
@@ -543,18 +530,12 @@ def mc_conditional_sample(
             x1[x1.size - accepted.size :] = accepted
 
     rate = x1.size / n_draws
-    if rate < 1e-6 and proposal == "tilted":
+    if rate < 1e-6:
         raise NumericError(
             f"acceptance rate {rate:.2e} below 1e-6; enlarge epsilon "
             f"(CLT scale is s/sqrt(n) = {tp.s / math.sqrt(n):.3g})"
         )
-    return McSample(
-        x1=x1,
-        acceptance_rate=rate,
-        n_proposals=n_draws,
-        epsilon=float(epsilon),
-        tp=tp,
-    )
+    return McSample(x1=x1, acceptance_rate=rate, n_proposals=n_draws, epsilon=float(epsilon), tp=tp)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +553,7 @@ def tv_distance(fv: np.ndarray, gv: np.ndarray, xs: np.ndarray) -> TVResult:
     """Total variation distance (half the L1 gap) after renormalizing both.
 
     ``fv`` and ``gv`` are density values on the nodes ``xs``; integrals use the trapezoid rule.
+    Here and below the TV is cut to 1: the two normalizations lift disjoint densities ulps past it.
     """
     fv, gv, xs = (np.asarray(v, dtype=float) for v in (fv, gv, xs))
     if fv.shape != xs.shape or gv.shape != xs.shape:
@@ -584,7 +566,7 @@ def tv_distance(fv: np.ndarray, gv: np.ndarray, xs: np.ndarray) -> TVResult:
     gv = gv / mg
     diff = fv - gv
     return TVResult(
-        tv=float(0.5 * np.trapezoid(np.abs(diff), xs)),
+        tv=min(float(0.5 * np.trapezoid(np.abs(diff), xs)), 1.0),
         sup_gap=float(np.max(np.abs(diff))),
     )
 
@@ -597,7 +579,7 @@ def tv_from_values(fv: np.ndarray, gv: np.ndarray, cell: float) -> float:
     gs = gv.sum() * cell
     if not (fs > 0 and gs > 0):
         raise DomainError("both value arrays must carry positive mass")
-    return float(0.5 * np.sum(np.abs(fv / fs - gv / gs)) * cell)
+    return min(float(0.5 * np.sum(np.abs(fv / fs - gv / gs)) * cell), 1.0)
 
 
 def _joint_tv(joint: np.ndarray, marg: np.ndarray, cell: float) -> TVResult:
@@ -612,7 +594,7 @@ def _joint_tv(joint: np.ndarray, marg: np.ndarray, cell: float) -> TVResult:
         part, prod = joint[i : i + rows], np.outer(marg[i : i + rows], marg)
         gap = np.maximum(gap, np.abs(part - prod).max())
         l1 += np.abs(part / fs - prod / gs).sum()
-    return TVResult(float(0.5 * l1 * cell), float(gap))
+    return TVResult(min(float(0.5 * l1 * cell), 1.0), float(gap))
 
 
 def tv_histogram(samples: np.ndarray, density, lo: float, hi: float, bins: int) -> float:
@@ -631,7 +613,7 @@ def tv_histogram(samples: np.ndarray, density, lo: float, hi: float, bins: int) 
         0.5 * (vals[1:] + vals[:-1]) * np.diff(xs), np.arange(0, bins * fine, fine)
     )
     cell_mass = cell_mass / cell_mass.sum()
-    return float(0.5 * np.sum(np.abs(p_hat - cell_mass)))
+    return min(float(0.5 * np.sum(np.abs(p_hat - cell_mass))), 1.0)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

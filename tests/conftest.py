@@ -99,6 +99,64 @@ def _saddle_params(model, tp, rows, a_n):
     return gibbs.FastGrowthParams(alpha, beta, -res.log_value, rows + 1, float(a_n), tp)
 
 
+def _per_index_loop(model, n, a_n, ys):
+    """``joint_moderate_approx(..., mode="per_index_tilt")`` as it was written
+    before the running levels had one helper: partial sums added in a loop."""
+    n, ys = gibbs._check_block(n, ys)
+    total = 0.0
+    partial = 0.0
+    for i, y in enumerate(ys, start=1):
+        partial += float(y)
+        m_i = (n * a_n - partial) / (n - i)
+        tp_i = tilt.solve_tilt_cached(model, m_i)
+        total += float(tilt.log_tilted_density(model, tp_i, np.asarray([y]))[0])
+    return gibbs._joint_value(total)
+
+
+def _joint_fast_loop(model, n, a_n, ys):
+    """``joint_fast_approx`` as it was written before the running levels had
+    one helper."""
+    n, ys = gibbs._check_block(n, ys)
+    total = 0.0
+    partial = 0.0
+    for i, y in enumerate(ys, start=1):
+        rows = n - i + 1
+        m_i = (n * a_n - partial) / rows
+        fp = gibbs._fast_factor(model, rows, m_i, float(a_n))
+        total += float(gibbs.log_fast_growth(fp, model, np.asarray([y]))[0])
+        partial += float(y)
+    return gibbs._joint_value(total)
+
+
+def _z_statistics_loop(model, n, a_n, ys):
+    """``z_statistics`` as it was written before the running levels had one
+    helper."""
+    n, ys = gibbs._count("n", n, 2), gibbs._block(ys)
+    k = len(ys)
+    if k >= n - 1:
+        raise DomainError("need k < n - 1 for the z statistics")
+    out = np.empty(k)
+    partial = 0.0
+    for i in range(k):
+        m_i = (n * a_n - partial) / (n - i)
+        tp_i = tilt.solve_tilt_cached(model, m_i)
+        with np.errstate(over="ignore"):
+            out[i] = (m_i - ys[i]) / (tp_i.s * math.sqrt(n - i - 1))
+        partial += float(ys[i])
+    return out
+
+
+@pytest.fixture(scope="session")
+def chain_loops():
+    """The three sequential-chain functions of ``gibbs`` by name, each paired
+    with its former hand-written loop."""
+    return {
+        "per_index_tilt": (lambda *args: gibbs.joint_moderate_approx(*args, mode="per_index_tilt"), _per_index_loop),
+        "joint_fast_approx": (gibbs.joint_fast_approx, _joint_fast_loop),
+        "z_statistics": (gibbs.z_statistics, _z_statistics_loop),
+    }
+
+
 @pytest.fixture(scope="session")
 def saddle_normalizer():
     """A context in which the library computes the fast-growth normalizer as

@@ -1,6 +1,7 @@
 """Conditional-law approximations: regimes, modulation, joints, f-means."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -479,3 +480,60 @@ class TestDiagnostics:
     def test_z_statistics_detect_imbalance(self, weibull2):
         zs = z_statistics(weibull2, 64, 3.0, np.array([4.0, 2.0]))
         assert np.any(zs != 0.0)
+
+
+# the sequential chain on one helper for the running levels, held bitwise to
+# the hand-written loops it replaced (conftest); each model at a level of
+# moderate and of fast growth
+_CHAIN_MODELS = [
+    ("weibull2", make_weibull(2.0), (3.0, 16.0)),
+    ("weibull4", make_weibull(4.0), (2.0, 6.0)),
+    ("half_gaussian", make_half_gaussian(), (1.0, 10.0)),
+    ("exp_exponential", make_exp_exponential(), (2.0, 4.0)),
+]
+# blocks with an inf, a NaN or a coordinate far out, and levels out of range
+_ODD_CHAIN_CASES = [
+    (16, 3.0, [math.inf]),
+    (16, 3.0, [3.0, -math.inf]),
+    (16, 3.0, [math.nan, 3.0]),
+    (16, 3.0, [2.0, math.inf, -math.inf, 3.0]),
+    (16, 3.0, [1e300, -1e300]),
+    (8, 3.0, [-1.0, 2.0]),
+    (3, math.inf, [math.inf]),
+    (16, math.inf, [3.0]),
+    (16, math.nan, [3.0, 3.0]),
+    (16, -1.0, [3.0]),
+    (16, 0.0, [0.0, 0.0]),
+    (2, 3.0, [3.0]),
+    (8, 3.0, []),
+    (8, 3.0, [[3.0, 3.0]]),
+]
+
+
+def _chain_cases():
+    rng = np.random.default_rng(27)
+    for name, model, levels in _CHAIN_MODELS:
+        for a in levels:
+            s = solve_tilt(model, a).s
+            for n in (8, 64, 512):
+                for k in sorted({1, 2, min(n // 4, 24)}):
+                    yield pytest.param(model, n, a, list(a + 2.0 * s * rng.standard_normal(k)), id=f"{name}-a{a}-n{n}-k{k}")
+        for j, (n, a, ys) in enumerate(_ODD_CHAIN_CASES):
+            yield pytest.param(model, n, a, ys, id=f"{name}-odd{j}")
+
+
+@pytest.mark.parametrize("entry", ["per_index_tilt", "joint_fast_approx", "z_statistics"])
+@pytest.mark.parametrize("model,n,a_n,ys", list(_chain_cases()))
+def test_chain_levels_match_the_loops_they_replaced(chain_loops, entry, model, n, a_n, ys):
+    new, loop = chain_loops[entry]
+
+    def outcome(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", RegimeWarning)
+            try:
+                return np.asarray(call(model, n, a_n, ys)).tobytes()
+            except Exception as err:  # noqa: BLE001 - the error itself is compared
+                return type(err), str(err)
+
+    assert outcome(new) == outcome(loop)

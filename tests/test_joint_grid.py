@@ -7,7 +7,8 @@ making ``oracle._antidiagonal_sums`` find no shared step.  ``_joint_tv``
 scores the grid against the product of the marginals in row blocks.
 Convolution squarings take one transform, bitwise equal to two, and a
 power keeps the run between its first and last node above the round-off
-floor.  scipy is not used.
+floor, and transform lengths from the bounded 2^i 3^j 5^k search are those
+of the unbounded one.  scipy is not used.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from extreme_gibbs import cli, oracle, tilt
-from extreme_gibbs.config import ARule, ExperimentConfig
+from extreme_gibbs.config import ApproxReport, ARule, ExperimentConfig
 from extreme_gibbs.errors import ExtremeGibbsError, NumericError
 from extreme_gibbs.model import make_exp_exponential, make_half_gaussian, make_weibull
 
@@ -193,3 +194,38 @@ def test_powers_drop_the_zero_runs_at_both_ends(av, bv, kept, offset):
     kept = np.array(kept) * step
     np.testing.assert_array_equal(got.values, kept / np.trapezoid(kept, dx=step))
     assert (got.lo, got.hi) == (2.0 + step * offset, 2.0 + step * (offset + len(kept) - 1))
+
+
+def test_joint_tv_of_a_disjoint_product_is_at_most_one():
+    # the joint sits where the product of the marginals is 0; the two
+    # normalizations lifted the TV to 1.0000000000000002, which ApproxReport
+    # rejected as a config error
+    marg = np.zeros(7)
+    marg[:3] = 0.7
+    joint = np.zeros((7, 7))
+    joint[3:, 3:] = 1.0 / 3.0
+    got = oracle._joint_tv(joint, marg, 0.1)
+    assert got.tv == 1.0
+    ApproxReport("joint_common_k2", "fast", 32, 3.0, got.tv, got.sup_gap)
+
+
+def _unbounded_fast_len(n):
+    """``oracle._fast_len`` with its exponents bounded by n's bit length only."""
+    odd = (3**j * 5**k for j in range(n.bit_length()) for k in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
+def test_fast_len_matches_the_unbounded_search():
+    for n in [*range(1, 20_001), 700_000, 10**7 + 1, 4 * 10**7, 3**20, 3**20 + 1, 5**15 + 1, 2**40 + 3]:
+        assert oracle._fast_len(n) == _unbounded_fast_len(n), n
+
+
+def test_powers_are_bitwise_equal_under_the_unbounded_fast_len(monkeypatch):
+    base = oracle.ConditionalOracle(make_weibull(2.0), 32, 3.0).table.power(1)
+    table = oracle.ConvolutionTable(base)
+    monkeypatch.setattr(oracle, "_fast_len", _unbounded_fast_len)
+    reference = oracle.ConvolutionTable(base)
+    for j in (2, 3, 31, 32, 127):
+        got, want = table.power(j), reference.power(j)
+        assert (got.lo, got.hi, got.step, got.mass) == (want.lo, want.hi, want.step, want.mass)
+        assert got.values.tobytes() == want.values.tobytes()

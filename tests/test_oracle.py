@@ -15,6 +15,7 @@ from scipy.signal import fftconvolve
 from scipy.special import erf
 from scipy.stats import norm
 
+from extreme_gibbs.config import ApproxReport
 from extreme_gibbs.errors import DomainError, NumericError, RangeError, ResourceError
 from extreme_gibbs.oracle import (
     ConditionalOracle,
@@ -285,18 +286,6 @@ class TestMonteCarlo:
         n_acc = len(mc.x1)
         assert abs(mc.x1.mean() - 3.0) <= 3.0 * tp.s / math.sqrt(n_acc)
 
-    def test_tilted_proposal_beats_raw(self, weibull2):
-        # at n = 16, a = 3 the raw-proposal acceptance is exponentially small
-        eps = solve_tilt(weibull2, 3.0).s / 8.0
-        tilted = mc_conditional_sample(weibull2, 16, 3.0, eps, 30000, seed=1)
-        raw = mc_conditional_sample(weibull2, 16, 3.0, eps, 30000, seed=1, proposal="raw")
-        assert tilted.acceptance_rate > 0.1
-        assert raw.acceptance_rate == 0.0
-
-    def test_unknown_proposal_rejected(self, weibull2):
-        with pytest.raises(DomainError, match="proposal"):
-            mc_conditional_sample(weibull2, 8, 3.0, 0.3, 1000, seed=1, proposal="tilded")
-
     def test_wide_window_recovers_tilted_density(self, weibull2):
         tp = solve_tilt(weibull2, 3.0)
         mc = mc_conditional_sample(weibull2, 8, 3.0, np.inf, 100_000, seed=9)
@@ -339,6 +328,35 @@ class TestDistances:
         xs = np.arange(0.0, 3.0 + 0.5e-3, 1e-3)
         res = tv_distance(np.where(xs < 1.0, 1.0, 0.0), np.where(xs >= 2.0, 1.0, 0.0), xs)
         assert res.tv == pytest.approx(1.0, abs=1e-3)
+
+    def test_disjoint_tv_is_at_most_one(self):
+        # round-off in the two normalizations made it 1.0000000000000002
+        xs = np.linspace(0.0, 1.0, 20)
+        res = tv_distance((xs < 0.3).astype(float), (xs > 0.6).astype(float), xs)
+        assert res.tv == 1.0
+        ApproxReport("tilted", "fast", 32, 3.0, res.tv, res.sup_gap)
+
+    def test_disjoint_tv_from_values_is_at_most_one(self):
+        # 1.0000000000000004 before the cut
+        f, g = np.zeros(28), np.zeros(28)
+        f[:14], g[14:] = 1.0 / 3.0, 0.7
+        assert tv_from_values(f, g, 0.1) == 1.0
+
+    def test_random_disjoint_pairs_stay_at_most_one(self):
+        # 248 of these 2,000 pairs came out above 1 before the cut
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            size = int(rng.integers(2, 40))
+            xs = np.sort(rng.random(2 * size))
+            f, g = rng.random(2 * size), rng.random(2 * size)
+            f[size:], g[: size + 1] = 0.0, 0.0
+            assert 0.0 <= tv_distance(f, g, xs).tv <= 1.0
+
+    def test_disjoint_tv_histogram_is_at_most_one(self):
+        # samples on [0, 0.4), density on (0.6, 1]: 1.0000000000000002 before the cut
+        samples = np.linspace(0.05, 0.35, 5)
+        density = lambda x: np.where(x > 0.6, 0.7, 0.0)  # noqa: E731
+        assert tv_histogram(samples, density, 0.0, 1.0, 12) == 1.0
 
     def test_shifted_normals_closed_form(self):
         xs = np.arange(-8.0, 8.1 + 0.5e-3, 1e-3)

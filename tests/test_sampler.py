@@ -17,10 +17,10 @@ from extreme_gibbs.tilt import solve_tilt_cached
 G = oracle._GUIDE_CELLS
 
 
-def _reference_sample(model, n, a_n, epsilon, n_draws, seed, proposal="tilted"):
+def _reference_sample(model, n, a_n, epsilon, n_draws, seed):
     """The sampler loop as it was before the guide table: one np.interp per batch."""
     tp = solve_tilt_cached(model, float(a_n))
-    xs, cdf = oracle._inverse_cdf_table(model, tp if proposal == "tilted" else None)
+    xs, cdf = oracle._inverse_cdf_table(model, tp)
 
     kept = []
     done = 0
@@ -40,7 +40,7 @@ def _reference_sample(model, n, a_n, epsilon, n_draws, seed, proposal="tilted"):
     return np.concatenate(kept), n_acc / n_draws, n_draws
 
 
-# (model, level) of each tilted table; level None is the raw-proposal table
+# (model, level) of each tilted table
 TABLES = [
     ("weibull1.5", make_weibull(1.5), 2.0),
     ("weibull1.5", make_weibull(1.5), 40.0),
@@ -52,14 +52,7 @@ TABLES = [
     ("exp_exponential", make_exp_exponential(), 12.0),
     ("half_gaussian", make_half_gaussian(), 1.0),
     ("half_gaussian", make_half_gaussian(), 50.0),
-    ("weibull2", make_weibull(2.0), None),
-    ("exp_exponential", make_exp_exponential(), None),
 ]
-
-
-def _table(model, a):
-    tp = None if a is None else solve_tilt_cached(model, a)
-    return oracle._inverse_cdf_table(model, tp)
 
 
 def _adversarial_u(cdf):
@@ -83,7 +76,7 @@ def _adversarial_u(cdf):
 
 @pytest.mark.parametrize("name,model,a", TABLES, ids=[f"{t[0]}-a{t[2]}" for t in TABLES])
 def test_guide_table_is_bitwise_interp(name, model, a):
-    xs, cdf = _table(model, a)
+    xs, cdf = oracle._inverse_cdf_table(model, solve_tilt_cached(model, a))
     lookup = oracle._GuideTable(xs, cdf)
     # both paths are taken: cells with one interval and sentinel cells
     assert (lookup.code == lookup.miss).any() and (lookup.code != lookup.miss).any()
@@ -97,11 +90,11 @@ def test_guide_table_is_bitwise_interp(name, model, a):
 # n_draws = 70,001 is one full batch and a partial one that ends inside a
 # lookup chunk
 @pytest.mark.parametrize("n", [1, 8, 32])
-@pytest.mark.parametrize("proposal,a_n,epsilon", [("tilted", 3.0, 0.05), ("raw", 1.0, 0.1)])
+@pytest.mark.parametrize("a_n,epsilon", [pytest.param(3.0, 0.05, id="tilted-3.0-0.05")])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_sample_matches_reference_loop(weibull2, n, proposal, a_n, epsilon, seed):
-    mc = oracle.mc_conditional_sample(weibull2, n, a_n, epsilon, 70_001, seed=seed, proposal=proposal)
-    x1, rate, n_proposals = _reference_sample(weibull2, n, a_n, epsilon, 70_001, seed, proposal)
+def test_sample_matches_reference_loop(weibull2, n, a_n, epsilon, seed):
+    mc = oracle.mc_conditional_sample(weibull2, n, a_n, epsilon, 70_001, seed=seed)
+    x1, rate, n_proposals = _reference_sample(weibull2, n, a_n, epsilon, 70_001, seed)
     assert mc.x1.size > 0
     assert mc.x1.tobytes() == x1.tobytes()
     assert mc.acceptance_rate == rate
