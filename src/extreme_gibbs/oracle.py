@@ -84,11 +84,16 @@ class GridDensity:
     def trapz_mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.step))
 
-    def normalized(self) -> "GridDensity":
-        m = self.trapz_mass()
+    @classmethod
+    def _unit(cls, lo: float, hi: float, step: float, values: np.ndarray, clipped: float = 0.0) -> "GridDensity":
+        """``values`` over their trapezoid mass, checked once as a grid of unit mass."""
+        m = float(np.trapezoid(values, dx=step))
         if not (m > 0):
             raise NumericError("cannot normalize a grid with nonpositive mass")
-        return GridDensity(self.lo, self.hi, self.step, self.values / m, 1.0, self.clipped)
+        return cls(lo, hi, step, values / m, 1.0, clipped)
+
+    def normalized(self) -> "GridDensity":
+        return self._unit(self.lo, self.hi, self.step, self.values, self.clipped)
 
     def interp(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.x(), self.values, left=0.0, right=0.0)
@@ -156,8 +161,7 @@ def discretize(source, lo: float, hi: float, step: float, clipped_mass: float | 
         raise DomainError("density values must be finite and nonnegative")
     if clipped > 1e-6:
         raise RangeError(f"clipped tail mass {clipped:.3e} exceeds 1e-6; widen the bounds")
-    g = GridDensity(lo, float(xs[-1]), step, vals, float(np.trapezoid(vals, dx=step)), clipped)
-    return g.normalized()
+    return GridDensity._unit(lo, float(xs[-1]), step, vals, clipped)
 
 
 def _fast_len(n: int) -> int:
@@ -186,10 +190,10 @@ def _convolve_pair(a: GridDensity, b: GridDensity) -> GridDensity:
     first, last = np.argmax(vals != 0.0), n_out - 1 - np.argmax(vals[::-1] != 0.0)
     if first == last or vals[first] == 0.0:
         raise NumericError("convolution power has fewer than two nodes above the round-off floor")
-    vals = vals[first : last + 1]  # a view: normalized() below copies it
+    vals = vals[first : last + 1]  # a view: _unit below copies it
     lo = a.lo + b.lo + a.step * first
     hi = lo + a.step * (len(vals) - 1)
-    return GridDensity(lo, hi, a.step, vals, float(np.trapezoid(vals, dx=a.step))).normalized()
+    return GridDensity._unit(lo, hi, a.step, vals)
 
 
 class ConvolutionTable:

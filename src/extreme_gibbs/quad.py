@@ -95,11 +95,9 @@ def _rule(c, scale, lo: float, hi: float):
     return a + sign * y, (a - c) + sign * y, log_w, []
 
 
-def log_integral(
-    log_f, center: float, scale: float, lo: float = -np.inf, hi: float = np.inf, relative: bool = False
-) -> LogQuad:
+def log_integral(log_f, center: float, scale: float, lo: float = -np.inf, hi: float = np.inf) -> LogQuad:
     """Integrate ``exp(log_f)`` over ``[lo, hi]`` around a peak at ``center``
-    of width ``scale``; with ``relative=True``, ``log_f`` takes ``x - center``.
+    of width ``scale``.
 
     Raises :class:`NumericError` when the scale is not resolvable at the
     center, when the integrand is NaN or +inf, or when it decays too slowly
@@ -108,11 +106,11 @@ def log_integral(
     if hi <= lo:
         raise NumericError(f"empty integration range [{lo}, {hi}]")
     c = float(min(max(center, lo), hi)) if np.isfinite(center) else lo
-    if not np.isfinite(scale) or scale <= 0.0 or (not relative and c + scale == c):
+    if not np.isfinite(scale) or scale <= 0.0 or c + scale == c:
         raise NumericError(f"invalid quadrature scale {scale!r} at center {c!r}")
     x, d, log_w, ends = _rule(c, scale, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_terms = np.asarray(log_f(d if relative else x), dtype=float) + log_w
+        log_terms = np.asarray(log_f(x), dtype=float) + log_w
     total = _logsumexp(log_terms)
     if not total < np.inf or (total > -np.inf and np.any(log_terms[ends] - total > _LOG_TAIL)):
         raise NumericError(f"integrand decays too slowly, diverges or is not finite (center={c!r}, scale={scale!r})")

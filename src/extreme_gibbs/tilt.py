@@ -4,10 +4,10 @@ The tilted density with parameter t is ``pi_t(x) = e^(t x) p(x) / Phi(t)``
 where ``Phi(t)`` is the moment generating function of the model.  Everything
 here is computed by saddle-centered quadrature in log space:
 
-* ``log_mgf`` integrates over offsets d = x - xhat from the inverse slope
-  xhat at t, with the remainder R(xhat, d) = g(xhat + d) - g(xhat) - h(xhat) d
-  in place of t x - g(x), so nothing cancels however large t gets; the rule
-  has width 1/sqrt(h'(xhat)).
+* ``_saddle``, the one kernel of one level and of an array of levels, integrates
+  over offsets d = x - xhat from the inverse slope xhat at t, with R(xhat, d) =
+  g(xhat + d) - g(xhat) - h(xhat) d in place of t x - g(x), so nothing cancels
+  however large t gets; the rule has width 1/sqrt(h'(xhat)).
 * ``tilt_moments`` extracts the tilted mean, variance and third centered
   moment from the same node set rather than by differencing ``log Phi``,
   which would amplify quadrature noise.  Its psi fields reuse the one slope
@@ -84,12 +84,26 @@ class TiltParams:
         return self.mu3 / s3
 
 
+def _saddle(model: DensityModel, t, x, hp):
+    """The saddle rule of the tilt at t around x = psi(t), where h'(x) = hp, for floats or for columns with one row
+    per t: the scale 1/sqrt(hp), the nodes, their offsets from x in units of the scale and the log terms of the log
+    integrand ``(t - h(x)) d - R(x, d) + q(x + d) - q(x)`` over offsets d; then, one per row, their log-sum, whether
+    it is +inf or NaN or fails the 1e-16 test at the infinite end, and log Phi(t)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # past float range: flagged, or a non-finite log Phi
+        scale, q0, slope = np.sqrt(1.0 / hp), model.q(x), t - model.h(x)
+        # t - h(x) is rounding noise once psi has converged
+        slope = np.where(np.abs(slope) <= 64.0 * (hp * np.spacing(np.abs(x)) + np.spacing(np.abs(t))), 0.0, slope)
+        nodes, d, log_w, ends = quad._rule(x, scale, model.support_lo, np.inf)
+        log_terms = slope * d - model.remainder(x, d) + (model.q(x + d) - q0) + log_w
+        lse = np.asarray(quad._logsumexp(log_terms))[..., None]  # the log-sum, with its node axis kept
+        bad = np.any((np.take_along_axis(log_terms, np.asarray(ends), -1) - lse > quad._LOG_TAIL) | ~(lse < np.inf), -1)
+        log_phi = (t * x - model.g(x) + q0 + model.log_norm + lse)[..., 0]
+    return scale, nodes, d / scale, log_terms, lse[..., 0], bad, log_phi
+
+
 def _mgf_quad(model: DensityModel, t: float, f=None, xhat=None):
-    """Quadrature of e^(t f(x)) p(x), log Phi_f(t), and psi, psi', psi'' at
-    its centre (NaN if undefined).  For the identity at t in the range of h
-    the rule runs over offsets d from xhat = psi(t) (taken as given when
-    ``xhat`` is not None), on the log integrand
-    ``(t - h(xhat)) d - R(xhat, d) + q(xhat + d) - q(xhat)``."""
+    """Quadrature of e^(t f(x)) p(x), log Phi_f(t), and psi, psi', psi'' at its centre (NaN if undefined): for the
+    identity at t in the range of h, ``_saddle`` at xhat = psi(t), taken as given when ``xhat`` is not None."""
     res, psi = None, (math.nan,) * 3
     if f is None and t >= model.h_min:
         try:
@@ -100,18 +114,14 @@ def _mgf_quad(model: DensityModel, t: float, f=None, xhat=None):
         if 0.0 < hp < math.inf:
             d1 = 1.0 / hp
             psi = (xhat, d1, -h2 * d1**3)
-            # t - h(xhat) is rounding noise once psi has converged
-            slope = t - float(model.h(xhat))
-            if abs(slope) <= 64.0 * (hp * math.ulp(xhat) + math.ulp(t)):
-                slope = 0.0
-            q0 = float(model.q(xhat))
-
-            def log_rel(d):
-                return slope * d - model.remainder(xhat, d) + (model.q(xhat + d) - q0)
-
-            res = quad.log_integral(log_rel, xhat, math.sqrt(d1), lo=model.support_lo, relative=True)
-            with np.errstate(over="ignore", invalid="ignore"):  # g past float range: a NumericError below
-                log_phi = t * xhat - float(model.g(xhat)) + q0 + model.log_norm + res.log_value
+            if d1 == math.inf:
+                raise NumericError(f"invalid quadrature scale inf at center {xhat!r}")
+            scale, nodes, u, log_terms, total, bad, log_phi = _saddle(model, t, xhat, hp)
+            res, log_phi = quad.LogQuad(float(total), nodes, u, log_terms, xhat, float(scale), panels=1), float(log_phi)
+            if bad:
+                raise NumericError(
+                    f"integrand decays too slowly, diverges or is not finite (center={xhat!r}, scale={res.scale!r})"
+                )
     if res is None:
 
         def log_f(x):
@@ -128,18 +138,19 @@ def _mgf_quad(model: DensityModel, t: float, f=None, xhat=None):
     return res, log_phi, psi
 
 
-def _moments(log_terms, log_value, u):
-    """Mean, variance and third centred moment of u over the last axis, weighted by exp(log_terms - log_value)."""
+def _moments(log_terms, log_value, u, shift, unit):
+    """Mean, variance and third centred moment of shift + unit * u, for u over the last axis with the weights
+    exp(log_terms - log_value)."""
     p = np.exp(log_terms - np.asarray(log_value)[..., None])
     mean = np.sum(p * u, axis=-1)
     du = u - mean[..., None]
-    return mean, np.sum(p * du * du, axis=-1), np.sum(p * du * du * du, axis=-1)
+    return shift + unit * mean, unit**2 * np.sum(p * du * du, axis=-1), unit**3 * np.sum(p * du * du * du, axis=-1)
 
 
 def _saddle_many(model: DensityModel, t: np.ndarray):
-    """``_mgf_quad``'s saddle branch and ``tilt_moments``' moments over an
-    array of t, the identity statistic: a mask of the rows that pass every
-    check of the scalar path, and the fields of ``TiltParams`` as arrays."""
+    """``_saddle`` and ``tilt_moments``' moments over an array of t, the
+    identity statistic: a mask of the rows that pass every check of the
+    scalar path, and the fields of ``TiltParams`` as arrays."""
     lo, ok = model.support_lo, np.isfinite(model.support_lo) & (t >= model.h_min)
     none = np.zeros(t.shape, bool), (t, *(np.full(t.shape, math.nan),) * 7)
     if not np.any(ok):  # the whole line, or no t in the range of h
@@ -152,21 +163,13 @@ def _saddle_many(model: DensityModel, t: np.ndarray):
             else:
                 x, found = np.asarray(model.psi_closed(t), dtype=float), True
             hp, h2 = model.h_prime(x), model.h_second(x)
-            d1, scale, q0, slope = 1.0 / hp, np.sqrt(1.0 / hp), model.q(x), t - model.h(x)
-            slope = np.where(np.abs(slope) <= 64.0 * (hp * np.spacing(np.abs(x)) + np.spacing(np.abs(t))), 0.0, slope)
-            c, sc = x[:, None], scale[:, None]
-            _, d, log_w, ends = quad._rule(c, sc, lo, np.inf)
-            log_terms = slope[:, None] * d - model.remainder(c, d) + (model.q(c + d) - q0[:, None]) + log_w
-            log_terms = np.where(log_w > -np.inf, log_terms, -np.inf)
-            total = quad._logsumexp(log_terms)
-            log_phi = t * x - model.g(x) + q0 + model.log_norm + total
-            u_mean, var_u, mu3_u = _moments(log_terms, total, d / sc)
-            tail = np.take_along_axis(log_terms, ends, -1)[:, 0] - total > quad._LOG_TAIL
-            ok &= found & (0.0 < hp) & (hp < np.inf) & (scale < np.inf) & (total < np.inf) & ~tail
-            ok &= np.isfinite(log_phi) & (scale**2 * var_u > 0.0)
+            scale, _, u, log_terms, total, bad, log_phi = _saddle(model, t[:, None], x[:, None], hp[:, None])
+            scale, d1 = scale[:, 0], 1.0 / hp
+            mean, s2, mu3 = _moments(log_terms, total, u, x, scale)
+            ok &= found & (0.0 < hp) & (hp < np.inf) & (scale < np.inf) & ~bad & np.isfinite(log_phi) & (s2 > 0.0)
+            return ok, (t, mean, s2, mu3, log_phi, x, d1, -h2 * d1**3)
     except ExtremeGibbsError:  # a model function that takes only scalars: the scalar path takes every row
         return none
-    return ok, (t, x + scale * u_mean, scale**2 * var_u, scale**3 * mu3_u, log_phi, x, d1, -h2 * d1**3)
 
 
 def _moments_many(model: DensityModel, ts) -> list[TiltParams]:
@@ -183,14 +186,8 @@ def log_mgf(model: DensityModel, t: float) -> float:
 def _tilt_quad(model: DensityModel, t: float, f=None, xhat=None) -> tuple[TiltParams, quad.LogQuad]:
     """``tilt_moments`` and the quadrature it read them from; ``xhat`` as in ``_mgf_quad``."""
     res, log_phi, (psi_val, psi_d1, psi_d2) = _mgf_quad(model, t, f, xhat)
-    if f is None:
-        u, shift, unit = res.offsets, res.center, res.scale
-    else:
-        u, shift, unit = np.asarray(f(res.nodes), dtype=float), 0.0, 1.0
-    u_mean, var_u, mu3_u = map(float, _moments(res.log_terms, res.log_value, u))
-    mean = shift + unit * u_mean
-    s2 = unit**2 * var_u
-    mu3 = unit**3 * mu3_u
+    u, shift, unit = (res.offsets, res.center, res.scale) if f is None else (np.asarray(f(res.nodes), float), 0.0, 1.0)
+    mean, s2, mu3 = map(float, _moments(res.log_terms, res.log_value, u, shift, unit))
     if not (s2 > 0):
         raise NumericError(f"tilted variance not positive at t={t!r}")
     return TiltParams(t, mean, s2, mu3, log_phi, psi_val, psi_d1, psi_d2), res

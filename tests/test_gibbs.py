@@ -222,13 +222,13 @@ class TestModulatedSaddle:
         _fast_factor.cache_clear()
         _fast_factor(model, n - 1, level, a)
         assert counts == solve
-        assert counts["log_integral"] == counts["_mgf_quad"] and counts["_locate"] == 0
+        assert counts["_saddle"] == counts["_mgf_quad"] and counts["_locate"] == 0
         assert counts["psi"] == counts["_mgf_quad"] - 1
         assert counts["_invert_slope"] == (0 if model.psi_closed is not None else counts["psi"])
 
 
 def _spy_costs(monkeypatch) -> dict:
-    """Calls of the tilt's evaluation, the quadrature, the locator, psi and
+    """Calls of the tilt's evaluation, its saddle rule, the locator, psi and
     the slope inversion, counted from here on."""
     counts = {}
 
@@ -241,7 +241,7 @@ def _spy_costs(monkeypatch) -> dict:
 
         monkeypatch.setattr(owner, name, counting)
 
-    for owner, name in [(tilt, "_mgf_quad"), (quad, "log_integral"), (quad, "_locate"), (DensityModel, "psi")]:
+    for owner, name in [(tilt, "_mgf_quad"), (tilt, "_saddle"), (quad, "_locate"), (DensityModel, "psi")]:
         spy(owner, name)
     spy(model_module, "_invert_slope")
     return counts
@@ -255,7 +255,7 @@ def test_a_joint_level_takes_two_evaluations_and_one_psi(weibull2, monkeypatch):
     counts = _spy_costs(monkeypatch)
     _fast_factor.cache_clear()
     _fast_factor(weibull2, 31, (32 * 16.0 - 16.5) / 31, 16.0)
-    assert counts == {"_mgf_quad": 2, "log_integral": 2, "_locate": 0, "psi": 1, "_invert_slope": 1}
+    assert counts == {"_mgf_quad": 2, "_saddle": 2, "_locate": 0, "psi": 1, "_invert_slope": 1}
 
 
 _PARITY_MODELS = [make_weibull(1.5), make_weibull(2.0), make_weibull(4.0), make_exp_exponential(), make_half_gaussian()]

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from extreme_gibbs import gibbs, oracle, quad
+from extreme_gibbs import gibbs, oracle, quad, tilt
 from extreme_gibbs.cli import main
 from extreme_gibbs.errors import DomainError, NumericError
 from extreme_gibbs.model import (
@@ -70,7 +70,8 @@ def test_divergent_integrand_raises():
 # until two panels in a row added less than 1e-12 of the running total and
 # four padding panels followed (400 panels at most).  That walk is kept here
 # as the reference for what the rule moved; with ``relative=True`` it feeds
-# the offsets of its nodes from the centre to ``log_f``.
+# the offsets of its nodes from the centre to ``log_f``, as ``tilt._saddle``
+# does to the tilt's log integrand.
 
 _WALK_X01, _WALK_W01 = np.polynomial.legendre.leggauss(32)
 
@@ -120,6 +121,33 @@ def _reference_walk(log_f, center, scale, lo=-np.inf, hi=np.inf, relative=False)
     return quad.LogQuad(quad._logsumexp(log_terms), nodes, (nodes - c) / scale, log_terms, c, scale, n_panels)
 
 
+def _saddle_walk(model, t, x, hp, kernel=tilt._saddle):
+    """``tilt._saddle``'s outputs at one level from the reference walk over
+    offsets from x; a batch's columns go to ``kernel``."""
+    if np.ndim(x):
+        return kernel(model, t, x, hp)
+    q0, slope = model.q(x), t - model.h(x)
+
+    def log_rel(d):
+        return slope * d - model.remainder(x, d) + (model.q(x + d) - q0)
+
+    walk = _reference_walk(log_rel, x, math.sqrt(1.0 / hp), lo=model.support_lo, relative=True)
+    log_phi = t * x - model.g(x) + q0 + model.log_norm + walk.log_value
+    return walk.scale, walk.nodes, walk.offsets, walk.log_terms, walk.log_value, False, log_phi
+
+
+def _saddle_quad(saddle, model, t, x, hp):
+    """A ``_saddle``-shaped result at one level as its LogQuad, or as the
+    NumericError its flag or the walk raises."""
+    try:
+        scale, nodes, u, log_terms, total, bad, _ = saddle(model, t, x, hp)
+    except NumericError as exc:
+        return exc
+    if bad:
+        return NumericError("flagged by the saddle rule")
+    return quad.LogQuad(float(total), nodes, u, log_terms, x, scale, 1)
+
+
 def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
@@ -134,18 +162,25 @@ def _outcome(fn, *args, **kwargs):
 @pytest.fixture
 def twin(monkeypatch):
     """Route every ``quad.log_integral`` call through the rule and the
-    reference walk; record (rule, walk) pairs of results and errors."""
-    real = quad.log_integral
+    reference walk, and every one-level ``tilt._saddle`` call also through
+    the walk over offsets; record (rule, walk) pairs of results and errors."""
+    real, kernel = quad.log_integral, tilt._saddle
     calls = []
 
-    def both(log_f, center, scale, lo=-np.inf, hi=np.inf, relative=False):
-        got = _outcome(real, log_f, center, scale, lo, hi, relative)
-        calls.append((got, _outcome(_reference_walk, log_f, center, scale, lo, hi, relative)))
+    def both(log_f, center, scale, lo=-np.inf, hi=np.inf):
+        got = _outcome(real, log_f, center, scale, lo, hi)
+        calls.append((got, _outcome(_reference_walk, log_f, center, scale, lo, hi)))
         if isinstance(got, Exception):
             raise got
         return got
 
+    def saddle(model, t, x, hp):
+        if not np.ndim(x):
+            calls.append((_saddle_quad(kernel, model, t, x, hp), _saddle_quad(_saddle_walk, model, t, x, hp)))
+        return kernel(model, t, x, hp)
+
     monkeypatch.setattr(quad, "log_integral", both)
+    monkeypatch.setattr(tilt, "_saddle", saddle)
     return calls
 
 
@@ -261,7 +296,7 @@ def test_divergent_and_nan_integrands_raise():
 # -- the move of the golden digests ----------------------------------------------
 #
 # The runs of tests/test_golden.py, once on the rule and once on the reference
-# walk (which then also takes the tilt's saddle-offset integrand).
+# walk (which then also takes the tilt's saddle-offset integrand at one level).
 
 
 def _tables(argv, out):
@@ -276,6 +311,7 @@ def _tables(argv, out):
 def _rule_and_walk(argv, tmp_path, monkeypatch):
     rule = _tables(argv, tmp_path / "rule")
     monkeypatch.setattr(quad, "log_integral", _reference_walk)
+    monkeypatch.setattr(tilt, "_saddle", _saddle_walk)
     return rule, _tables(argv, tmp_path / "walk")
 
 

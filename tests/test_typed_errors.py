@@ -126,7 +126,8 @@ def test_mixture_and_sampler_return_or_raise_a_typed_error(name, model, n, v, w)
 
 
 _LEVEL_EDGES = [0.0, -0.0, -1.0, 1e-200, 1e300, -1e300, math.nan, math.inf, -math.inf, 0.5, 2.0, 40.0, 1e5]
-levels = st.lists(st.one_of(st.sampled_from(_LEVEL_EDGES), st.floats(allow_nan=True, allow_infinity=True)), max_size=6)
+# the levels also draw from ``reals``, the values every entry point above takes
+levels = st.lists(st.one_of(st.sampled_from(_LEVEL_EDGES), reals), max_size=6)
 
 
 @given(model=st.sampled_from(MODELS), levels=levels)
